@@ -13,13 +13,11 @@ from .cyclic import (
     QUASI_CIRCULAR,
     CyclicDescriptor,
     aperiodic_descriptor,
-    aperiodic_value,
     apply_labels,
-    circular_value,
     compose_up,
+    derive_descriptor,
     evaluate,
     pairwise_descriptor,
-    quasi_circular_value,
     reduce_to_single,
 )
 from .distill import (
@@ -68,7 +66,6 @@ from .table import (
     GranularTable,
     IngestionSchema,
     augment,
-    derive_custom,
     enumerate_cyclic,
     export_table,
     ingest,

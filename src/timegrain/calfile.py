@@ -26,13 +26,16 @@ next). Irregular rules use ``cardinalities`` (sizes of the next rung's
 granules, repeating) plus an optional ``unit`` rung the sizes are
 measured in. Event intervals are half-open ``start-end`` ranges over the
 bottom granularity.
+
+The bundled calendars (``gregorian.cal``, ``mayan.cal``, ``cricket.cal``
+and ``semester.cal``) are not shipped as files: ``load_calendar`` builds
+them with the generators in ``timegrain.fixtures``.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .errors import ValidationError
@@ -47,9 +50,6 @@ from .hierarchy import (
     validate_hierarchy,
 )
 
-BUNDLED = ("gregorian.cal", "mayan.cal", "cricket.cal", "semester.cal")
-
-
 @dataclass(frozen=True)
 class Calendar:
     """A validated hierarchy plus any aperiodic event calendars."""
@@ -58,7 +58,8 @@ class Calendar:
     events: dict[str, AperiodicEventCalendar] = field(default_factory=dict)
 
 
-def _parser() -> configparser.ConfigParser:
+def ini_parser() -> configparser.ConfigParser:
+    """The INI dialect shared by calendar and session files."""
     return configparser.ConfigParser(
         delimiters=("=",), interpolation=None, comment_prefixes=("#", ";")
     )
@@ -75,7 +76,7 @@ def _parse_int(section: str, key: str, raw: str) -> int:
 
 def parse_calendar(text: str, source: str = "<string>") -> Calendar:
     """Parse and validate a calendar definition."""
-    cp = _parser()
+    cp = ini_parser()
     try:
         cp.read_string(text, source=source)
     except configparser.Error as exc:
@@ -176,13 +177,19 @@ def _parse_events(name: str, body) -> AperiodicEventCalendar:
 
 
 def load_calendar(path: str | Path) -> Calendar:
-    """Load from a filesystem path, falling back to the bundled fixtures."""
+    """Load from a filesystem path, falling back to a bundled calendar.
+
+    A bare bundled name such as ``gregorian.cal`` that is not an existing
+    file is built by its generator in ``timegrain.fixtures``.
+    """
     p = Path(path)
     if p.exists():
         return parse_calendar(p.read_text(encoding="utf-8"), source=str(p))
-    if p.name in BUNDLED and str(p) == p.name:
-        text = resources.files("timegrain.data").joinpath(p.name).read_text(encoding="utf-8")
-        return parse_calendar(text, source=f"bundled:{p.name}")
+    # imported here: fixtures imports this module
+    from .fixtures import BUNDLED
+
+    if str(p) in BUNDLED:
+        return BUNDLED[str(p)]()
     raise ValidationError("file-not-found", f"calendar file {path!r} does not exist")
 
 

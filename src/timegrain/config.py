@@ -4,15 +4,16 @@ ingestion schema, derived granularities, and screening thresholds."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .calfile import BUNDLED, Calendar, load_calendar
-from .cyclic import CyclicDescriptor, aperiodic_descriptor
+from .calfile import Calendar, ini_parser
+from .cyclic import CyclicDescriptor, aperiodic_descriptor, derive_descriptor
 from .distill import DEFAULT_PROBS
 from .errors import ValidationError
+from .fixtures import BUNDLED
 from .harmony import DEFAULT_MAX_LEVELS, DEFAULT_NEAR_FLOOR, DEFAULT_NEAR_THRESHOLD
-from .table import IngestionSchema, derive_custom, enumerate_cyclic
+from .table import IngestionSchema, enumerate_cyclic
 
 
 @dataclass(frozen=True)
@@ -58,19 +59,30 @@ class SessionConfig:
         return p
 
 
+def _number(parse, section: str, key: str, raw):
+    """``parse(raw)`` with ``parse`` int or float; a bad value names its key."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValidationError(
+            "bad-config", f"[{section}] {key} = {raw!r} is not a valid {parse.__name__}"
+        ) from None
+
+
 def _parse_derive(name: str, body) -> DeriveSpec:
     if "base" not in body or "map" not in body:
         raise ValidationError("bad-config", f"[derive {name}] needs base and map")
     mapping: dict[int, int] = {}
     rest: int | None = None
+    section = f"derive {name}"
     for token in body["map"].split():
         src, _, dst = token.partition(":")
         if not dst:
             raise ValidationError("bad-config", f"[derive {name}] bad map token {token!r}")
         if src == "rest":
-            rest = int(dst)
+            rest = _number(int, section, "map", dst)
         else:
-            mapping[int(src)] = int(dst)
+            mapping[_number(int, section, "map", src)] = _number(int, section, "map", dst)
     labels = None
     if "labels" in body:
         labels = tuple(v.strip() for v in body["labels"].split(","))
@@ -81,9 +93,7 @@ def load_config(path: str | Path) -> SessionConfig:
     p = Path(path)
     if not p.exists():
         raise ValidationError("file-not-found", f"config file {p} does not exist")
-    cp = configparser.ConfigParser(
-        delimiters=("=",), interpolation=None, comment_prefixes=("#", ";")
-    )
+    cp = ini_parser()
     try:
         cp.read(p, encoding="utf-8")
     except configparser.Error as exc:
@@ -117,16 +127,25 @@ def load_config(path: str | Path) -> SessionConfig:
         if section.startswith("derive ")
     )
 
-    near_threshold = session.getfloat("near_threshold", DEFAULT_NEAR_THRESHOLD)
+    near_threshold = _number(
+        float, "session", "near_threshold", session.get("near_threshold", DEFAULT_NEAR_THRESHOLD)
+    )
     if not 0.0 <= near_threshold <= 1.0:
         raise ValidationError("bad-config", "near_threshold must lie in [0, 1]")
-    near_floor = session.getint("near_floor", DEFAULT_NEAR_FLOOR)
+    near_floor = _number(
+        int, "session", "near_floor", session.get("near_floor", DEFAULT_NEAR_FLOOR)
+    )
     if near_floor < 0:
         raise ValidationError("bad-config", "near_floor must be non-negative")
-    max_levels = session.getint("max_levels", DEFAULT_MAX_LEVELS)
+    max_levels = _number(
+        int, "session", "max_levels", session.get("max_levels", DEFAULT_MAX_LEVELS)
+    )
     if max_levels < 1:
         raise ValidationError("bad-config", "max_levels must be at least 1")
-    probs = tuple(float(x) for x in session.get("quantile_probs", "").split()) or DEFAULT_PROBS
+    probs = tuple(
+        _number(float, "session", "quantile_probs", x)
+        for x in session.get("quantile_probs", "").split()
+    ) or DEFAULT_PROBS
     if any(not (0.0 < q < 1.0) for q in probs):
         raise ValidationError("bad-config", "quantile_probs must lie strictly in (0, 1)")
 
@@ -166,5 +185,5 @@ def build_catalog(cfg: SessionConfig, cal: Calendar) -> dict[str, CyclicDescript
             remap: dict[int, int] = spec.mapping
         else:
             remap = {v: spec.mapping.get(v, spec.rest) for v in range(base.levels)}
-        catalog[spec.name] = derive_custom(base, remap, spec.name, labels=spec.labels)
+        catalog[spec.name] = derive_descriptor(base, remap, spec.name, labels=spec.labels)
     return catalog

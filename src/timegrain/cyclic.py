@@ -56,6 +56,14 @@ class CyclicDescriptor:
     base: "CyclicDescriptor | None" = None
     remap: tuple[int, ...] | None = None
 
+    @property
+    def root(self) -> "CyclicDescriptor":
+        """The descriptor that derivation starts from: follows ``base`` to its end."""
+        d = self
+        while d.base is not None:
+            d = d.base
+        return d
+
 
 def _check_labels(labels: object, levels: int, name: str) -> None:
     if isinstance(labels, (tuple, list)):
@@ -115,10 +123,6 @@ def _quasi_levels(h: Hierarchy, lo: int, hi: int) -> int:
     return best
 
 
-def level_count(d: CyclicDescriptor) -> int:
-    return d.levels
-
-
 def _scalar(z) -> bool:
     return np.isscalar(z) or isinstance(z, int)
 
@@ -153,25 +157,6 @@ def evaluate(
             lrep = h._reps[h.position(d.lower)]
             out = lrep.idx(z) - lrep.idx(ustart)
     return int(out) if _scalar(z) else np.asarray(out, dtype=np.int64)
-
-
-def circular_value(h: Hierarchy, d: CyclicDescriptor, z: int) -> int:
-    """Regular-pair value: floor(z / P(bottom, lower)) mod P(lower, upper)."""
-    if d.kind != CIRCULAR or d.base is not None:
-        raise ValidationError("kind-mismatch", f"{d.name!r} is not a plain circular granularity")
-    return evaluate(h, d, z)
-
-
-def quasi_circular_value(h: Hierarchy, d: CyclicDescriptor, z: int) -> int:
-    """Irregular-pair value: whole lower units since the upper granule began."""
-    if d.kind != QUASI_CIRCULAR or d.base is not None:
-        raise ValidationError("kind-mismatch", f"{d.name!r} is not a quasi-circular granularity")
-    return evaluate(h, d, z)
-
-
-def aperiodic_value(cal: AperiodicEventCalendar, z: int) -> int:
-    """Category index at z; 0 when z lies outside every event interval."""
-    return cal.category_of(z)
 
 
 def _effective_steps(h: Hierarchy, lo: int, hi: int):

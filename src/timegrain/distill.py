@@ -9,12 +9,9 @@ geometry to pixels is explicitly someone else's job.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from statistics import NormalDist
 from typing import Sequence
 
@@ -24,7 +21,7 @@ from .calfile import Calendar
 from .cyclic import CyclicDescriptor, apply_labels, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
-from .table import GranularTable
+from .table import GranularTable, csv_writer
 
 # quantile bands: 1-99, 10-90, and 25-75 around the median
 DEFAULT_PROBS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -349,10 +346,7 @@ def emit_plot_spec(
 
 def write_summaries(summaries: Sequence[CellSummary], out, delimiter: str = ",") -> None:
     """Long-format export: facet, x, prob, value, n (one empty row per empty cell)."""
-    own = isinstance(out, (str, Path))
-    handle = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+    with csv_writer(out, delimiter) as writer:
         writer.writerow(["facet", "x", "prob", "value", "n"])
         for s in summaries:
             if s.n == 0:
@@ -362,12 +356,3 @@ def write_summaries(summaries: Sequence[CellSummary], out, delimiter: str = ",")
                 writer.writerow(
                     [s.facet_label, s.x_label, format(p, "g"), format(v, ".12g"), s.n]
                 )
-    finally:
-        if own:
-            handle.close()
-
-
-def summaries_text(summaries: Sequence[CellSummary], delimiter: str = ",") -> str:
-    buf = io.StringIO()
-    write_summaries(summaries, buf, delimiter)
-    return buf.getvalue()

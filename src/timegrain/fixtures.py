@@ -193,6 +193,15 @@ def semester_calendar(starts: tuple[int, ...] = SEMESTER_STARTS) -> Calendar:
     )
 
 
+# The bundled calendars by file name; ``load_calendar`` builds them from here.
+BUNDLED = {
+    "gregorian.cal": gregorian_calendar,
+    "mayan.cal": mayan_calendar,
+    "cricket.cal": cricket_calendar,
+    "semester.cal": semester_calendar,
+}
+
+
 def write_smart_meter_csv(
     path: str | Path,
     seed: int = 42,
@@ -317,13 +326,8 @@ def write_fixtures(out_dir: str | Path, seed: int = 42) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, cal in (
-        ("gregorian.cal", gregorian_calendar()),
-        ("mayan.cal", mayan_calendar()),
-        ("cricket.cal", cricket_calendar()),
-        ("semester.cal", semester_calendar()),
-    ):
-        save_calendar(cal, out / name)
+    for name, build in BUNDLED.items():
+        save_calendar(build(), out / name)
         written.append(out / name)
     write_smart_meter_csv(out / "synthetic_smart_meter.csv", seed=seed)
     written.append(out / "synthetic_smart_meter.csv")

@@ -13,11 +13,8 @@ verdicts do not depend on how fine the bottom granularity happens to be.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from math import gcd, lcm
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +22,7 @@ import numpy as np
 from .calfile import Calendar
 from .cyclic import CIRCULAR, CyclicDescriptor, evaluate
 from .errors import ComputationError
-from .table import GranularTable
+from .table import GranularTable, csv_writer
 
 DEFAULT_NEAR_THRESHOLD = 0.05
 DEFAULT_NEAR_FLOOR = 2
@@ -72,8 +69,7 @@ class PairClassification:
 
 def _anchor(cal: Calendar, d: CyclicDescriptor) -> int:
     """Block size (bottom units) on which d's value is constant."""
-    while d.base is not None:
-        d = d.base
+    d = d.root
     if d.kind == "aperiodic":
         return 1
     return cal.hierarchy.anchor_block(d.lower)
@@ -81,8 +77,7 @@ def _anchor(cal: Calendar, d: CyclicDescriptor) -> int:
 
 def _cycle(cal: Calendar, d: CyclicDescriptor) -> int | None:
     """Exact repeat length of d over the index, bottom units; None if irregular."""
-    while d.base is not None:
-        d = d.base
+    d = d.root
     if d.kind != CIRCULAR:
         return None
     return cal.hierarchy.bottom_units(d.upper)
@@ -186,19 +181,7 @@ def harmony_table(
 
 def write_harmony_table(rows: Sequence[HarmonyRow], out, delimiter: str = ",") -> None:
     """Export with the facet/x/levels column layout."""
-    own = isinstance(out, (str, Path))
-    handle = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+    with csv_writer(out, delimiter) as writer:
         writer.writerow(["facet_variable", "x_variable", "facet_levels", "x_levels"])
         for r in rows:
             writer.writerow([r.facet, r.x, r.facet_levels, r.x_levels])
-    finally:
-        if own:
-            handle.close()
-
-
-def harmony_table_text(rows: Sequence[HarmonyRow], delimiter: str = ",") -> str:
-    buf = io.StringIO()
-    write_harmony_table(rows, buf, delimiter)
-    return buf.getvalue()

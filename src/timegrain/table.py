@@ -10,17 +10,17 @@ their descriptor at the row's index.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .calfile import Calendar
-from .cyclic import CyclicDescriptor, derive_descriptor, evaluate, pairwise_descriptor
+from .cyclic import CyclicDescriptor, evaluate, pairwise_descriptor
 from .errors import DataError, ValidationError
 from .hierarchy import Hierarchy
 
@@ -100,8 +100,10 @@ def ingest(
 
     Timestamps become bottom-granule indexes relative to the schema's
     origin; the original strings are retained as a presentation column.
-    Rows are rejected (with their line number) on unparseable timestamps,
-    timestamps before the origin, or duplicate (keys, index) pairs.
+    Rows are rejected (with their line number) on missing fields (blank
+    lines included), unparseable timestamps, timestamps before the origin,
+    duplicate (keys, index) pairs, or infinite measurements. Blank cells
+    and ``nan`` are missing measurements.
     """
     if isinstance(source, (str, Path)):
         handle: Iterable[str] = open(source, "r", encoding="utf-8", newline="")
@@ -135,60 +137,76 @@ def ingest(
         meas_cols: dict[str, list[float]] = {m: [] for m in schema.measurement_columns}
         seen: set[tuple] = set()
         for lineno, row in enumerate(reader, start=2):
-            raw = row[positions[schema.timestamp_column]]
-            if by_index:
-                try:
-                    z = int(raw)
-                except ValueError:
+            try:
+                raw = row[positions[schema.timestamp_column]]
+                if by_index:
+                    try:
+                        z = int(raw)
+                    except ValueError:
+                        raise DataError(
+                            "unparseable-timestamp", f"row {lineno}: {raw!r} is not an index"
+                        ) from None
+                    if z < 0:
+                        raise DataError("pre-origin", f"row {lineno}: index {z} is negative")
+                else:
+                    try:
+                        ts = datetime.strptime(raw, schema.timestamp_format)
+                    except ValueError:
+                        raise DataError(
+                            "unparseable-timestamp",
+                            f"row {lineno}: {raw!r} does not match {schema.timestamp_format!r}",
+                        ) from None
+                    if ts < origin:
+                        raise DataError(
+                            "pre-origin",
+                            f"row {lineno}: {raw!r} predates origin {schema.origin!r}",
+                        )
+                    z = int((ts - origin) // step)
+                fingerprint = tuple(row[positions[k]] for k in schema.key_columns) + (z,)
+                if fingerprint in seen:
                     raise DataError(
-                        "unparseable-timestamp", f"row {lineno}: {raw!r} is not an index"
-                    ) from None
-                if z < 0:
-                    raise DataError("pre-origin", f"row {lineno}: index {z} is negative")
-            else:
-                try:
-                    ts = datetime.strptime(raw, schema.timestamp_format)
-                except ValueError:
-                    raise DataError(
-                        "unparseable-timestamp",
-                        f"row {lineno}: {raw!r} does not match {schema.timestamp_format!r}",
-                    ) from None
-                if ts < origin:
-                    raise DataError(
-                        "pre-origin", f"row {lineno}: {raw!r} predates origin {schema.origin!r}"
+                        "duplicate-row", f"row {lineno}: duplicate keys/index {fingerprint}"
                     )
-                z = int((ts - origin) // step)
-            fingerprint = tuple(row[positions[k]] for k in schema.key_columns) + (z,)
-            if fingerprint in seen:
+                seen.add(fingerprint)
+                stamps.append(raw)
+                zs.append(z)
+                for k in schema.key_columns:
+                    key_cols[k].append(row[positions[k]])
+                for m in schema.measurement_columns:
+                    cell = row[positions[m]].strip()
+                    if not cell:
+                        meas_cols[m].append(math.nan)
+                        continue
+                    try:
+                        meas_cols[m].append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            "unparseable-measurement", f"row {lineno}: {cell!r} is not numeric"
+                        ) from None
+            except IndexError:
                 raise DataError(
-                    "duplicate-row", f"row {lineno}: duplicate keys/index {fingerprint}"
-                )
-            seen.add(fingerprint)
-            stamps.append(raw)
-            zs.append(z)
-            for k in schema.key_columns:
-                key_cols[k].append(row[positions[k]])
-            for m in schema.measurement_columns:
-                cell = row[positions[m]].strip()
-                if not cell:
-                    meas_cols[m].append(math.nan)
-                    continue
-                try:
-                    meas_cols[m].append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        "unparseable-measurement", f"row {lineno}: {cell!r} is not numeric"
-                    ) from None
+                    "short-row",
+                    f"row {lineno}: {len(row)} fields, fewer than the header's {len(header)}",
+                ) from None
     finally:
         if close:
             handle.close()
 
+    measurements = {m: np.asarray(v, dtype=np.float64) for m, v in meas_cols.items()}
+    for m, values in measurements.items():
+        # nan stays "missing"; an infinity has no quantile and no JSON form
+        bad = np.flatnonzero(np.isinf(values))
+        if len(bad):
+            raise DataError(
+                "non-finite-measurement",
+                f"row {bad[0] + 2}: {m} value {values[bad[0]]} is not finite",
+            )
     return GranularTable(
         index=np.asarray(zs, dtype=np.int64),
         timestamps=tuple(stamps),
         timestamp_column=schema.timestamp_column,
         keys={k: tuple(v) for k, v in key_cols.items()},
-        measurements={m: np.asarray(v, dtype=np.float64) for m, v in meas_cols.items()},
+        measurements=measurements,
     )
 
 
@@ -213,16 +231,6 @@ def enumerate_cyclic(
     return out
 
 
-def derive_custom(
-    base: CyclicDescriptor,
-    remap: Mapping[int, int] | Sequence[int],
-    name: str,
-    labels: object = None,
-) -> CyclicDescriptor:
-    """Descriptor computing ``remap(base value)``; the remap must be total."""
-    return derive_descriptor(base, remap, name, labels)
-
-
 def augment(
     t: GranularTable,
     descriptors: Sequence[CyclicDescriptor],
@@ -241,6 +249,14 @@ def augment(
     return replace(t, cyclic=cyclic)
 
 
+@contextmanager
+def csv_writer(out, delimiter: str = ","):
+    """A ``csv.writer`` on ``out``: a path, opened here and closed on exit, or an open handle."""
+    own = isinstance(out, (str, Path))
+    with open(out, "w", encoding="utf-8", newline="") if own else nullcontext(out) as handle:
+        yield csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+
+
 def _format_measurement(v: float) -> str:
     if math.isnan(v):
         return ""
@@ -249,10 +265,7 @@ def _format_measurement(v: float) -> str:
 
 def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
     """Write the table (including cyclic columns) as delimited text."""
-    own = isinstance(out, (str, Path))
-    handle = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+    with csv_writer(out, delimiter) as writer:
         header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
         writer.writerow(header)
         key_cols = list(t.keys.values())
@@ -265,12 +278,3 @@ def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
             row += [_format_measurement(float(col[i])) for col in meas_cols]
             row += [int(col[i]) for col in cyc_cols]
             writer.writerow(row)
-    finally:
-        if own:
-            handle.close()
-
-
-def export_table_text(t: GranularTable, delimiter: str = ",") -> str:
-    buf = io.StringIO()
-    export_table(t, buf, delimiter)
-    return buf.getvalue()

@@ -1,13 +1,8 @@
 import pytest
 
 from timegrain import ValidationError, load_calendar, parse_calendar
-from timegrain.calfile import BUNDLED, format_calendar
-from timegrain.fixtures import (
-    cricket_calendar,
-    gregorian_calendar,
-    mayan_calendar,
-    semester_calendar,
-)
+from timegrain.calfile import format_calendar
+from timegrain.fixtures import BUNDLED
 
 MINIMAL = """\
 [calendar]
@@ -34,17 +29,13 @@ def test_bundled_files_load(name):
     assert len(cal.hierarchy.rungs) >= 2
 
 
-@pytest.mark.parametrize(
-    "name,builder",
-    [
-        ("gregorian.cal", gregorian_calendar),
-        ("mayan.cal", mayan_calendar),
-        ("cricket.cal", cricket_calendar),
-        ("semester.cal", semester_calendar),
-    ],
-)
-def test_bundled_files_match_generators(name, builder):
-    assert format_calendar(load_calendar(name)) == format_calendar(builder())
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_calendars_round_trip(name):
+    cal = load_calendar(name)
+    text = format_calendar(cal)
+    again = parse_calendar(text)
+    assert again == cal
+    assert format_calendar(again) == text
 
 
 def test_round_trip(gregorian):

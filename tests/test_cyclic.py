@@ -11,16 +11,13 @@ from timegrain import (
     IrregularMapping,
     Rung,
     ValidationError,
-    aperiodic_value,
     apply_labels,
-    circular_value,
     compose_up,
+    derive_descriptor,
     evaluate,
     pairwise_descriptor,
-    quasi_circular_value,
     reduce_to_single,
 )
-from timegrain.cyclic import derive_descriptor
 from timegrain.fixtures import gregorian_calendar
 
 
@@ -32,51 +29,37 @@ def minutes():
 class TestCircular:
     def test_hour_of_day_from_minutes(self, minutes):
         d = pairwise_descriptor(minutes, "hour", "day")
-        assert circular_value(minutes, d, 1500) == 1
+        assert evaluate(minutes, d, 1500) == 1
 
     def test_day_of_week_from_minutes(self, minutes):
         d = pairwise_descriptor(minutes, "day", "week")
-        assert circular_value(minutes, d, 1440) == 1
+        assert evaluate(minutes, d, 1440) == 1
 
     def test_zero_index(self, minutes):
         for lower, upper in [("minute", "hour"), ("hour", "day"), ("day", "week")]:
             d = pairwise_descriptor(minutes, lower, upper)
-            assert circular_value(minutes, d, 0) == 0
-
-    def test_kind_mismatch(self, gregorian):
-        h = gregorian.hierarchy
-        quasi = pairwise_descriptor(h, "day", "month")
-        with pytest.raises(ValidationError) as err:
-            circular_value(h, quasi, 5)
-        assert err.value.kind == "kind-mismatch"
+            assert evaluate(minutes, d, 0) == 0
 
     @settings(max_examples=200)
     @given(z=st.integers(min_value=0, max_value=10**9), t=st.integers(min_value=0, max_value=1000))
     def test_range_and_periodicity(self, z, t):
         h = gregorian_calendar(bottom="minute", years=4).hierarchy
         d = pairwise_descriptor(h, "hour", "week")
-        v = circular_value(h, d, z)
+        v = evaluate(h, d, z)
         assert 0 <= v < 168
-        assert circular_value(h, d, z + t * 7 * 1440) == v
+        assert evaluate(h, d, z + t * 7 * 1440) == v
 
 
 class TestQuasiCircular:
     def test_first_of_february_2013(self, gregorian_2013_days):
         h = gregorian_2013_days.hierarchy
         d = pairwise_descriptor(h, "day", "month")
-        assert quasi_circular_value(h, d, 31) == 0
+        assert evaluate(h, d, 31) == 0
 
     def test_leap_day_2012(self, gregorian_days):
         h = gregorian_days.hierarchy
         d = pairwise_descriptor(h, "day", "month")
-        assert quasi_circular_value(h, d, 59) == 28
-
-    def test_kind_mismatch(self, gregorian):
-        h = gregorian.hierarchy
-        circ = pairwise_descriptor(h, "hour", "day")
-        with pytest.raises(ValidationError) as err:
-            quasi_circular_value(h, circ, 5)
-        assert err.value.kind == "kind-mismatch"
+        assert evaluate(h, d, 59) == 28
 
     def test_level_never_reaches_granule_size(self, gregorian_days):
         # value stays below the containing granule's cardinality
@@ -104,23 +87,23 @@ class TestQuasiCircular:
 class TestAperiodic:
     def test_in_session(self, semester):
         ev = semester.events["semester_type"]
-        assert aperiodic_value(ev, 70) == 1
+        assert ev.category_of(70) == 1
 
     def test_outside_all_intervals(self, semester):
         ev = semester.events["semester_type"]
-        assert aperiodic_value(ev, 0) == 0
+        assert ev.category_of(0) == 0
 
     def test_inclusive_start_boundary(self, semester):
         ev = semester.events["semester_type"]
         start = ev.categories[0].intervals[0][0]
-        assert aperiodic_value(ev, start) == 1
-        assert aperiodic_value(ev, start - 1) == 2  # orientation week just before
+        assert ev.category_of(start) == 1
+        assert ev.category_of(start - 1) == 2  # orientation week just before
 
     def test_exclusive_end_boundary(self, semester):
         ev = semester.events["semester_type"]
         end = ev.categories[3].intervals[0][1]
-        assert aperiodic_value(ev, end - 1) == 4
-        assert aperiodic_value(ev, end) == 0
+        assert ev.category_of(end - 1) == 4
+        assert ev.category_of(end) == 0
 
 
 class TestComposeUp:
@@ -265,7 +248,7 @@ class TestEvaluateArray:
         zs = np.arange(0, 800, dtype=np.int64)
         arr = ev.category_of(zs)
         for z, v in zip(zs, arr):
-            assert aperiodic_value(ev, int(z)) == int(v)
+            assert ev.category_of(int(z)) == int(v)
 
 
 class TestDerived:

@@ -23,8 +23,8 @@ from timegrain import (
     pairwise_descriptor,
     recommend,
     summarize_cells,
+    write_summaries,
 )
-from timegrain.distill import summaries_text
 from timegrain.table import GranularTable
 
 
@@ -330,8 +330,9 @@ class TestPlotSpec:
 def test_summary_export_format(cells_input):
     t, x, facet = cells_input
     cells = summarize_cells(t, x, facet, "kwh", probs=(0.5,))
-    text = summaries_text(cells)
-    lines = text.splitlines()
+    buf = io.StringIO()
+    write_summaries(cells, buf)
+    lines = buf.getvalue().splitlines()
     assert lines[0] == "facet,x,prob,value,n"
     assert len(lines) == 1 + 24 * 7
 
@@ -342,7 +343,9 @@ def test_summary_export_keeps_empty_cells(gregorian):
     facet = pairwise_descriptor(h, "week", "month")
     t = augment(synthetic_table(gregorian, n_days=364), [x, facet], gregorian)
     cells = summarize_cells(t, x, facet, "kwh", probs=(0.5,))
-    lines = summaries_text(cells).splitlines()
+    buf = io.StringIO()
+    write_summaries(cells, buf)
+    lines = buf.getvalue().splitlines()
     empties = [ln for ln in lines[1:] if ln.endswith(",0")]
     assert empties and all(",,," not in ln or True for ln in empties)
     assert any(ln.split(",")[2] == "" for ln in empties)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from timegrain import (
     IndexSpan,
     classify_pair,
     cross_tab,
-    derive_custom,
+    derive_descriptor,
     harmony_table,
     pairwise_descriptor,
+    write_harmony_table,
 )
-from timegrain.harmony import harmony_table_text
 
 YEAR_2013 = IndexSpan(start=366 * 48, length=365 * 48)
 
@@ -21,7 +23,7 @@ def ds(gregorian):
     names = [("hour", "day"), ("day", "week"), ("day", "month"),
              ("week", "month"), ("month", "year"), ("day", "year")]
     out = {f"{a}_{b}": pairwise_descriptor(h, a, b) for a, b in names}
-    out["wknd_wday"] = derive_custom(
+    out["wknd_wday"] = derive_descriptor(
         out["day_week"], {0: 1, 6: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "wknd_wday"
     )
     return out
@@ -39,7 +41,7 @@ class TestCrossTab:
         assert occ.counts[0, 4] == 0  # first day never in the fifth week
 
     def test_single_level_marginal(self, gregorian, ds):
-        allone = derive_custom(ds["wknd_wday"], {0: 0, 1: 0}, "constant")
+        allone = derive_descriptor(ds["wknd_wday"], {0: 0, 1: 0}, "constant")
         occ = cross_tab(YEAR_2013, allone, ds["hour_day"], gregorian)
         assert occ.counts.shape == (1, 24)
         assert occ.counts.sum() == occ.total
@@ -131,7 +133,8 @@ class TestHarmonyTable:
 
     def test_export_header(self, gregorian, ds):
         rows = harmony_table([ds["hour_day"], ds["day_week"]], YEAR_2013, gregorian)
-        text = harmony_table_text(rows)
-        lines = text.splitlines()
+        buf = io.StringIO()
+        write_harmony_table(rows, buf)
+        lines = buf.getvalue().splitlines()
         assert lines[0] == "facet_variable,x_variable,facet_levels,x_levels"
         assert "day_week,hour_day,7,24" in lines

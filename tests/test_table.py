@@ -8,7 +8,7 @@ from timegrain import (
     IngestionSchema,
     ValidationError,
     augment,
-    derive_custom,
+    derive_descriptor,
     enumerate_cyclic,
     evaluate,
     export_table,
@@ -67,6 +67,23 @@ class TestIngest:
         assert err.value.kind == "unparseable-timestamp"
         assert "row 2" in err.value.message
 
+    @pytest.mark.parametrize("short", ["2012-01-01 00:30,c1", ""], ids=["truncated", "blank"])
+    def test_short_row_rejected(self, gregorian, short):
+        rows = ["2012-01-01 00:00,c1,0.5", short, "2012-01-01 01:00,c1,0.5"]
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "short-row"
+        assert err.value.message.startswith("row 3:")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_measurement_rejected(self, gregorian, cell):
+        # the nan cell on row 3 is a missing value, not the fault
+        rows = ["2012-01-01 00:00,c1,0.5", "2012-01-01 00:30,c1,nan", f"2012-01-01 01:00,c1,{cell}"]
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "non-finite-measurement"
+        assert err.value.message.startswith("row 4:")
+
     def test_missing_column(self, gregorian):
         with pytest.raises(DataError) as err:
             ingest(make_csv(["2012-01-01 00:00,c1"], header="timestamp,customer"),
@@ -120,21 +137,21 @@ class TestEnumerate:
 class TestDerive:
     def test_weekend_weekday(self, gregorian):
         base = pairwise_descriptor(gregorian.hierarchy, "day", "week")
-        d = derive_custom(base, {0: 1, 6: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "wknd_wday",
-                          labels=("Weekday", "Weekend"))
+        d = derive_descriptor(base, {0: 1, 6: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "wknd_wday",
+                              labels=("Weekday", "Weekend"))
         assert d.levels == 2
 
     def test_identity_remap(self, gregorian):
         h = gregorian.hierarchy
         base = pairwise_descriptor(h, "day", "week")
-        same = derive_custom(base, list(range(7)), "day_week_copy")
+        same = derive_descriptor(base, list(range(7)), "day_week_copy")
         zs = np.arange(0, 48 * 100, dtype=np.int64)
         assert (evaluate(h, same, zs) == evaluate(h, base, zs)).all()
 
     def test_partial_remap_rejected(self, gregorian):
         base = pairwise_descriptor(gregorian.hierarchy, "day", "week")
         with pytest.raises(ValidationError) as err:
-            derive_custom(base, {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "broken")
+            derive_descriptor(base, {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "broken")
         assert err.value.kind == "partial-remap"
 
 
@@ -155,7 +172,7 @@ class TestAugment:
     def test_derived_column_equals_remap(self, gregorian, small):
         h = gregorian.hierarchy
         base = pairwise_descriptor(h, "day", "week")
-        wknd = derive_custom(base, {0: 1, 6: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "wknd_wday")
+        wknd = derive_descriptor(base, {0: 1, 6: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}, "wknd_wday")
         t = augment(small, [base, wknd], gregorian)
         table = np.asarray([1, 0, 0, 0, 0, 0, 1])
         assert (t.cyclic_column("wknd_wday") == table[t.cyclic_column("day_week")]).all()
