@@ -50,14 +50,12 @@ from .hierarchy import (
     EventCategory,
     Hierarchy,
     IrregularMapping,
-    MaterializedGranularity,
     Rung,
     finer_than,
     granule_start,
     groups_into,
     is_periodical,
     linear_granule,
-    materialize,
     period_length,
     validate_event_calendar,
     validate_hierarchy,

@@ -184,7 +184,13 @@ def load_calendar(path: str | Path) -> Calendar:
     """
     p = Path(path)
     if p.exists():
-        return parse_calendar(p.read_text(encoding="utf-8"), source=str(p))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(
+                "bad-calendar-file", f"{p}: cannot read as UTF-8 text: {exc}"
+            ) from None
+        return parse_calendar(text, source=str(p))
     # imported here: fixtures imports this module
     from .fixtures import BUNDLED
 

@@ -19,6 +19,7 @@ byte-identical. Exit codes: 0 success, 2 usage, 3 validation, 4 data,
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .errors import TimegrainError, ValidationError
 from .fixtures import write_fixtures
 from .harmony import IndexSpan, classify_pair, cross_tab, harmony_table, write_harmony_table
 from .hierarchy import ConstantPeriod
-from .table import GranularTable, augment, export_table, ingest
+from .table import GranularTable, augment, csv_writer, export_table, ingest
 
 
 def _out_dir(args, cfg: SessionConfig | None) -> Path:
@@ -95,13 +96,12 @@ def cmd_calendar_validate(args) -> int:
 def cmd_granularity_list(args) -> int:
     cfg, cal = _load_session(args)
     catalog = build_catalog(cfg, cal)
-    rows = [
-        [d.name, d.kind, d.levels, d.lower or "", d.upper or ""]
-        for d in catalog.values()
-    ]
-    lines = ["name,kind,levels,lower,upper"]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    with csv_writer(buffer, args.delimiter) as writer:
+        writer.writerow(["name", "kind", "levels", "lower", "upper"])
+        for d in catalog.values():
+            writer.writerow([d.name, d.kind, d.levels, d.lower or "", d.upper or ""])
+    text = buffer.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")

@@ -93,9 +93,13 @@ def load_config(path: str | Path) -> SessionConfig:
     p = Path(path)
     if not p.exists():
         raise ValidationError("file-not-found", f"config file {p} does not exist")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("bad-config", f"{p}: cannot read as UTF-8 text: {exc}") from None
     cp = ini_parser()
     try:
-        cp.read(p, encoding="utf-8")
+        cp.read_string(text, source=str(p))
     except configparser.Error as exc:
         raise ValidationError("bad-config", f"{p}: {exc}") from None
     if "session" not in cp:

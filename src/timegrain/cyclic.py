@@ -16,7 +16,6 @@ without revisiting the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,8 +26,6 @@ from .hierarchy import (
     ConstantPeriod,
     Hierarchy,
     IrregularMapping,
-    _Grouped,
-    _Irregular,
     period_length,
 )
 
@@ -105,22 +102,13 @@ def aperiodic_descriptor(
 def _quasi_levels(h: Hierarchy, lo: int, hi: int) -> int:
     """Largest count of whole lower units in any upper granule."""
     urep = h._reps[hi]
-    if isinstance(urep, _Irregular):
-        n = urep.repetition
-    else:
-        base_rep = urep.base.repetition
-        n = base_rep // gcd(urep.group, base_rep)
-    lrep = h._reps[lo]
+    bounds = urep.start(np.arange(urep.period + 1))
     bu = h.bottom_units(h.rungs[lo].name)
-    best = 0
-    for i in range(n):
-        s, e = int(urep.start(i)), int(urep.start(i + 1))
-        if bu is not None:
-            count = (e - s - 1) // bu + 1
-        else:
-            count = int(lrep.idx(e)) - int(lrep.idx(s))
-        best = max(best, count)
-    return best
+    if bu is not None:
+        counts = (np.diff(bounds) - 1) // bu + 1
+    else:
+        counts = np.diff(h._reps[lo].idx(bounds))
+    return int(counts.max())
 
 
 def _scalar(z) -> bool:

@@ -13,14 +13,19 @@ strictly between the unit and the rule's target do not nest into the
 target (they "slide" across its boundaries). This is how a ladder such
 as hour/day/week/month can hold both origin-aligned weeks (for
 day-of-week) and true calendar months (for day-of-month) at once.
+
+Each rung has a granule locator that maps an index to its granule and a
+granule to its first index. The relativity checks between rungs
+(finer-than, groups-into and periodical, after Bettini et al., *Time
+Granularities in Databases, Data Mining, and Temporal Reasoning*, 2000)
+are computed from these locators over a finite span.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from typing import Union
 
 import numpy as np
@@ -106,14 +111,8 @@ class Hierarchy:
         reps: list[_Rep] = [_Regular(1)]
         for pos, rung in enumerate(self.rungs[:-1]):
             rule = rung.rule
-            below = reps[pos]
             if isinstance(rule, ConstantPeriod):
-                if isinstance(below, _Regular):
-                    reps.append(_Regular(below.block * rule.period))
-                elif isinstance(below, _Irregular):
-                    reps.append(_Grouped(below, rule.period))
-                else:
-                    reps.append(_Grouped(below.base, below.group * rule.period))
+                reps.append(reps[pos].grouped(rule.period))
             else:
                 unit = rule.unit or rung.name
                 upos = self.position(unit)
@@ -129,6 +128,7 @@ class _Regular:
     """Granules are fixed blocks of ``block`` bottom units."""
 
     __slots__ = ("block",)
+    period = 1  # granules after which their sizes in bottom units repeat
 
     def __init__(self, block: int):
         self.block = block
@@ -139,18 +139,23 @@ class _Regular:
     def start(self, i):
         return i * self.block
 
+    def grouped(self, p: int) -> "_Regular":
+        return _Regular(self.block * p)
+
 
 class _Irregular:
     """Granules sized by a repeating cardinality table over anchor granules."""
 
-    __slots__ = ("anchor", "cards", "prefix", "cycle", "repetition")
+    __slots__ = ("anchor", "prefix", "cycle", "repetition", "period")
 
-    def __init__(self, anchor, cardinalities: tuple[int, ...]):
+    def __init__(self, anchor, cardinalities):
         self.anchor = anchor
-        self.cards = np.asarray(cardinalities, dtype=np.int64)
-        self.prefix = np.concatenate(([0], np.cumsum(self.cards)))
+        cards = np.asarray(cardinalities, dtype=np.int64)
+        self.prefix = np.concatenate(([0], np.cumsum(cards)))
         self.cycle = int(self.prefix[-1])
-        self.repetition = len(cardinalities)
+        self.repetition = len(cards)
+        # sizes in bottom units repeat once the anchor's own sizes are back in phase
+        self.period = self.repetition * (anchor.period // gcd(self.cycle, anchor.period))
 
     def idx(self, z):
         a = self.anchor.idx(z)
@@ -162,29 +167,23 @@ class _Irregular:
         cyc, j = np.divmod(i, self.repetition)
         return self.anchor.start(cyc * self.cycle + self.prefix[j])
 
+    def grouped(self, p: int) -> "_Irregular":
+        """Groups of ``p`` consecutive granules, on the same anchor.
 
-class _Grouped:
-    """Constant-size groups of the granules of an irregular rep."""
-
-    __slots__ = ("base", "group")
-
-    def __init__(self, base: _Irregular, group: int):
-        self.base = base
-        self.group = group
-
-    def idx(self, z):
-        return self.base.idx(z) // self.group
-
-    def start(self, i):
-        return self.base.start(i * self.group)
+        The table holds one cycle of group sizes, ``repetition // gcd``
+        entries read from the prefix sums; it is never tiled to the lcm.
+        """
+        k = np.arange(self.repetition // gcd(self.repetition, p) + 1) * p
+        cyc, j = np.divmod(k, self.repetition)
+        return _Irregular(self.anchor, np.diff(cyc * self.cycle + self.prefix[j]))
 
 
-_Rep = Union[_Regular, _Irregular, _Grouped]
+_Rep = Union[_Regular, _Irregular]
 
 
 def _anchor_block(rep: _Rep) -> int:
-    while not isinstance(rep, _Regular):
-        rep = rep.anchor if isinstance(rep, _Irregular) else rep.base.anchor
+    while isinstance(rep, _Irregular):
+        rep = rep.anchor
     return rep.block
 
 
@@ -254,110 +253,50 @@ def granule_start(h: Hierarchy, rung: str, index):
     return int(out) if np.isscalar(index) or isinstance(index, int) else out
 
 
-@dataclass(frozen=True)
-class MaterializedGranularity:
-    """Granules of one rung as half-open index intervals over a finite span.
-
-    Intervals carry true boundaries; the last one may extend past
-    ``span_end``. Relativity verdicts computed from these are relative
-    to the materialized span.
-    """
-
-    name: str
-    intervals: tuple[tuple[int, int], ...]
-    span_end: int
-
-
-def materialize(h: Hierarchy, rung: str, span_end: int) -> MaterializedGranularity:
-    """All granules of ``rung`` whose start lies in [0, span_end)."""
+def _granule_bounds(h: Hierarchy, rung: str, span_end: int) -> np.ndarray:
+    """Bounds of the complete granules of ``rung`` in [0, span_end); bound k starts granule k."""
     if span_end <= 0:
         raise ComputationError("empty-span", "span must cover at least one bottom granule")
     rep = h._reps[h.position(rung)]
-    intervals = []
-    i = 0
-    while True:
-        s = int(rep.start(i))
-        if s >= span_end:
-            break
-        intervals.append((s, int(rep.start(i + 1))))
-        i += 1
-    return MaterializedGranularity(rung, tuple(intervals), span_end)
+    return rep.start(np.arange(rep.idx(span_end) + 1))
 
 
-def _joint_span(g: MaterializedGranularity, h: MaterializedGranularity) -> int:
-    end = min(g.span_end, h.span_end)
-    if not g.intervals or not h.intervals or end <= 0:
-        raise ComputationError("empty-span", "no granules to compare on the shared span")
-    return end
+def finer_than(h: Hierarchy, fine: str, coarse: str, span_end: int) -> bool:
+    """True iff every complete granule of ``fine`` sits inside one granule of ``coarse``."""
+    bounds = _granule_bounds(h, fine, span_end)
+    c = h._reps[h.position(coarse)]
+    return bool((c.idx(bounds[:-1]) == c.idx(bounds[1:] - 1)).all())
 
 
-def finer_than(g: MaterializedGranularity, h: MaterializedGranularity) -> bool:
-    """True iff every complete granule of g sits inside some granule of h."""
-    end = _joint_span(g, h)
-    h_starts = [s for s, _ in h.intervals]
-    for s, e in g.intervals:
-        if e > end:
-            continue
-        k = bisect.bisect_right(h_starts, s) - 1
-        if k < 0 or not (h.intervals[k][0] <= s and e <= h.intervals[k][1]):
-            return False
-    return True
+def groups_into(h: Hierarchy, fine: str, coarse: str, span_end: int) -> bool:
+    """True iff every complete granule of ``coarse`` is exactly tiled by granules of ``fine``."""
+    bounds = _granule_bounds(h, coarse, span_end)
+    g = h._reps[h.position(fine)]
+    return bool((g.start(g.idx(bounds)) == bounds).all())
 
 
-def groups_into(g: MaterializedGranularity, h: MaterializedGranularity) -> bool:
-    """True iff every complete granule of h is exactly tiled by granules of g."""
-    end = _joint_span(g, h)
-    g_starts = [s for s, _ in g.intervals]
-    for s, e in h.intervals:
-        if e > end:
-            continue
-        k = bisect.bisect_left(g_starts, s)
-        if k == len(g.intervals) or g.intervals[k][0] != s:
-            return False
-        pos = s
-        while pos < e:
-            if k == len(g.intervals) or g.intervals[k][0] != pos:
-                return False
-            pos = g.intervals[k][1]
-            k += 1
-        if pos != e:
-            return False
-    return True
+def is_periodical(h: Hierarchy, fine: str, coarse: str, span_end: int) -> tuple[int, int] | None:
+    """Smallest (R, P) such that shifting ``coarse`` by R granules shifts its tiling by P granules of ``fine``.
 
-
-def is_periodical(
-    g: MaterializedGranularity, h: MaterializedGranularity
-) -> tuple[int, int] | None:
-    """Smallest (R, P) such that shifting h by R granules shifts its tiling by P granules of g.
-
-    Verdicts are relative to the materialized span; None means no
-    repetition at or below the span was detected.
+    Verdicts are relative to the span [0, span_end); None means no
+    repetition within the span was detected.
     """
-    end = _joint_span(g, h)
-    g_starts = [s for s, _ in g.intervals]
-    spans: list[tuple[int, int]] = []
-    for s, e in h.intervals:
-        if e > end:
-            break
-        lo = bisect.bisect_left(g_starts, s)
-        hi = bisect.bisect_left(g_starts, e)
-        if lo == len(g.intervals) or g.intervals[lo][0] != s or g.intervals[hi - 1][1] != e:
-            raise ValidationError(
-                "not-a-grouping", f"{g.name!r} does not group into {h.name!r} on this span"
-            )
-        spans.append((lo, hi))
-    if len(spans) < 2:
+    if not groups_into(h, fine, coarse, span_end):
+        raise ValidationError(
+            "not-a-grouping", f"{fine!r} does not group into {coarse!r} on this span"
+        )
+    bounds = _granule_bounds(h, coarse, span_end)
+    n = len(bounds) - 1
+    if n < 2:
         raise ComputationError(
             "insufficient-span", "need at least two complete coarse granules to detect a period"
         )
-    n = len(spans)
+    # fine index at each coarse bound: granule i spans fine granules [at[i], at[i + 1])
+    at = h._reps[h.position(fine)].idx(bounds)
     for r in range(1, n):
-        p = spans[r][0] - spans[0][0]
-        if all(
-            spans[i + r][0] - spans[i][0] == p and spans[i + r][1] - spans[i][1] == p
-            for i in range(n - r)
-        ):
-            return (r, p)
+        shift = at[r:] - at[:-r]
+        if (shift == shift[0]).all():
+            return (r, int(shift[0]))
     return None
 
 

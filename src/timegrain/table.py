@@ -103,7 +103,8 @@ def ingest(
     Rows are rejected (with their line number) on missing fields (blank
     lines included), unparseable timestamps, timestamps before the origin,
     duplicate (keys, index) pairs, or infinite measurements. Blank cells
-    and ``nan`` are missing measurements.
+    and ``nan`` are missing measurements. A file that is not UTF-8 is
+    rejected as a whole.
     """
     if isinstance(source, (str, Path)):
         handle: Iterable[str] = open(source, "r", encoding="utf-8", newline="")
@@ -188,6 +189,9 @@ def ingest(
                     "short-row",
                     f"row {lineno}: {len(row)} fields, fewer than the header's {len(header)}",
                 ) from None
+    except UnicodeDecodeError as exc:
+        # decoded in blocks ahead of the rows, so no row number is known
+        raise DataError("bad-encoding", f"{source} is not UTF-8 text: {exc.reason}") from None
     finally:
         if close:
             handle.close()

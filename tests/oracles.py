@@ -79,6 +79,84 @@ def mayan_pair_value(c: dict[str, int], lower: str, upper: str) -> int:
     return value
 
 
+def ladder_boundaries(rules: list, n: int) -> list[list[int]]:
+    """Granule starts of every rung in [0, n], ticking a ladder one index at a time.
+
+    ``rules`` holds each non-top rung's rule, bottom first: an int period,
+    or a tuple of cardinalities (sizes of the next rung's granules in
+    granules of this rung, repeating). One start list per rung, top last.
+    """
+    starts = [[0] for _ in range(len(rules) + 1)]
+    elapsed = [0] * len(rules)  # granules of rung k since rung k + 1 last started
+    made = [0] * len(rules)  # granules of rung k + 1 started after its first
+    for z in range(1, n + 1):
+        starts[0].append(z)
+        for k, rule in enumerate(rules):
+            elapsed[k] += 1
+            size = rule if isinstance(rule, int) else rule[made[k] % len(rule)]
+            if elapsed[k] < size:
+                break
+            elapsed[k] = 0
+            made[k] += 1
+            starts[k + 1].append(z)
+    return starts
+
+
+def complete_granules(starts: list[int], end: int) -> list[tuple[int, int]]:
+    """(start, end) of each granule that ends at or before ``end``."""
+    return [(s, e) for s, e in zip(starts, starts[1:]) if e <= end]
+
+
+def finer_than_oracle(fine: list[int], coarse: list[int], end: int) -> bool:
+    """No coarse boundary falls strictly inside a complete fine granule."""
+    bounds = set(coarse)
+    return not any(
+        z in bounds for s, e in complete_granules(fine, end) for z in range(s + 1, e)
+    )
+
+
+def groups_into_oracle(fine: list[int], coarse: list[int], end: int) -> bool:
+    """Both ends of every complete coarse granule are fine boundaries."""
+    bounds = set(fine)
+    return all(s in bounds and e in bounds for s, e in complete_granules(coarse, end))
+
+
+def periodical_oracle(fine: list[int], coarse: list[int], end: int):
+    """Smallest (R, P) with every coarse granule's fine run shifted by P after R granules.
+
+    Returns the error kind instead when the coarse granules are not
+    groupings of fine ones, or when fewer than two are complete.
+    """
+    position = {z: i for i, z in enumerate(fine)}
+    granules = complete_granules(coarse, end)
+    if any(s not in position or e not in position for s, e in granules):
+        return "not-a-grouping"
+    if len(granules) < 2:
+        return "insufficient-span"
+    runs = [(position[s], position[e]) for s, e in granules]
+    for r in range(1, len(runs)):
+        p = runs[r][0] - runs[0][0]
+        if all(
+            runs[i + r][0] - runs[i][0] == p and runs[i + r][1] - runs[i][1] == p
+            for i in range(len(runs) - r)
+        ):
+            return (r, p)
+    return None
+
+
+def largest_count(lower: list[int], upper: list[int]) -> int:
+    """Most lower granules starting inside one complete upper granule."""
+    counts = [0] * (len(upper) - 1)
+    g = 0
+    for z in lower:
+        while g < len(counts) and upper[g + 1] <= z:
+            g += 1
+        if g == len(counts):
+            break
+        counts[g] += 1
+    return max(counts)
+
+
 def date_of_index(origin_year: int, z_days: int) -> date:
     return date(origin_year, 1, 1) + timedelta(days=z_days)
 

@@ -88,6 +88,19 @@ def test_missing_file():
     assert err.value.kind == "file-not-found"
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "utf-16-bom"])
+def test_unreadable_file(tmp_path, unreadable):
+    path = tmp_path / "broken.cal"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+    with pytest.raises(ValidationError) as err:
+        load_calendar(path)
+    assert err.value.kind == "bad-calendar-file"
+    assert err.value.message.startswith(str(path))
+
+
 def test_semester_structure(semester):
     ev = semester.events["semester_type"]
     sizes = {c.label: sum(e - s for s, e in c.intervals) for c in ev.categories}

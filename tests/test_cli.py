@@ -75,6 +75,13 @@ def test_command_output_is_repeatable(session, tmp_path, argv):
     assert written[0] == written[1]
 
 
+def test_granularity_list_uses_delimiter(session, tmp_path):
+    out = tmp_path / "list.csv"
+    argv = ["granularity", "list", "--config", str(session / "smart_meter.ini")]
+    assert cli.run([*argv, "--delimiter", ";", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("name;kind;levels;lower;upper\n")
+
+
 def test_fixtures_generate_is_repeatable(tmp_path):
     for run in ("first", "second"):
         assert cli.run(["fixtures", "generate", "--out-dir", str(tmp_path / run)]) == 0

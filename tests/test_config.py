@@ -24,3 +24,17 @@ def test_bad_value_names_section_and_key(workdir, tmp_path, old, new, where):
         load_config(path)
     assert err.value.kind == "bad-config"
     assert err.value.message.startswith(where)
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "utf-16-bom"])
+def test_unreadable_file(workdir, tmp_path, unreadable):
+    path = tmp_path / "smart_meter.ini"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        text = (workdir / "smart_meter.ini").read_text(encoding="utf-8")
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    with pytest.raises(ValidationError) as err:
+        load_config(path)
+    assert err.value.kind == "bad-config"
+    assert err.value.message.startswith(str(path))

@@ -1,23 +1,36 @@
+import time
 from collections import Counter
+from math import lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import date_of_index, days_in_month
+from oracles import (
+    date_of_index,
+    days_in_month,
+    finer_than_oracle,
+    groups_into_oracle,
+    ladder_boundaries,
+    largest_count,
+    periodical_oracle,
+)
 from timegrain import (
     ComputationError,
     ConstantPeriod,
     Hierarchy,
     IrregularMapping,
-    MaterializedGranularity,
     Rung,
+    TimegrainError,
     ValidationError,
+    enumerate_cyclic,
+    evaluate,
     finer_than,
     granule_start,
     groups_into,
     is_periodical,
     linear_granule,
-    materialize,
     period_length,
     validate_hierarchy,
 )
@@ -148,83 +161,137 @@ class TestLinearGranule:
 
 
 class TestRelativities:
-    def test_day_finer_than_week(self, gregorian_days):
-        h = gregorian_days.hierarchy
-        day = materialize(h, "day", 28)
-        week = MaterializedGranularity("week", tuple((7 * i, 7 * i + 7) for i in range(4)), 28)
-        assert finer_than(day, week)
+    def test_day_finer_than_week(self, gregorian):
+        assert finer_than(gregorian.hierarchy, "day", "week", 28 * 48)
 
     def test_week_not_finer_than_month(self, gregorian):
         h = gregorian.hierarchy
         span = 366 * 48
-        week = materialize(h, "week", span)
-        month = materialize(h, "month", span)
-        assert not finer_than(week, month)
-        assert not groups_into(week, month)
+        assert not finer_than(h, "week", "month", span)
+        assert not groups_into(h, "week", "month", span)
 
     def test_reflexive(self, gregorian):
-        day = materialize(gregorian.hierarchy, "day", 48 * 40)
-        assert finer_than(day, day)
-        assert groups_into(day, day)
+        h = gregorian.hierarchy
+        assert finer_than(h, "day", "day", 48 * 40)
+        assert groups_into(h, "day", "day", 48 * 40)
 
     def test_day_groups_into_week_and_month(self, gregorian):
         h = gregorian.hierarchy
         span = 366 * 48
-        day = materialize(h, "day", span)
-        week = materialize(h, "week", span)
-        month = materialize(h, "month", span)
-        assert groups_into(day, week)
-        assert groups_into(day, month)
+        assert groups_into(h, "day", "week", span)
+        assert groups_into(h, "day", "month", span)
 
     def test_hour_groups_into_day(self, gregorian):
-        h = gregorian.hierarchy
-        hour = materialize(h, "hour", 48 * 30)
-        day = materialize(h, "day", 48 * 30)
-        assert groups_into(hour, day)
+        assert groups_into(gregorian.hierarchy, "hour", "day", 48 * 30)
 
-    def test_split_granule_is_not_grouping(self, gregorian):
-        day = materialize(gregorian.hierarchy, "day", 48 * 10)
-        # a coarse granularity whose first granule splits a day
-        odd = MaterializedGranularity("odd", ((0, 30), (30, 96)), 48 * 10)
-        assert not groups_into(day, odd)
+    def test_split_granule_is_not_grouping(self):
+        # a coarse granularity whose first granule splits a day: 30 then 66 half hours
+        h = validate_hierarchy(
+            Hierarchy(
+                "odd",
+                (
+                    Rung("halfhour", ConstantPeriod(2)),
+                    Rung("hour", ConstantPeriod(24)),
+                    Rung("day", IrregularMapping((30, 66), unit="halfhour")),
+                    Rung("odd", ConstantPeriod(1)),
+                ),
+            )
+        )
+        assert not groups_into(h, "day", "odd", 48 * 10)
 
     def test_empty_span(self, gregorian):
         h = gregorian.hierarchy
-        with pytest.raises(ComputationError) as err:
-            materialize(h, "day", 0)
-        assert err.value.kind == "empty-span"
+        for check in (finer_than, groups_into, is_periodical):
+            with pytest.raises(ComputationError) as err:
+                check(h, "day", "day", 0)
+            assert err.value.kind == "empty-span"
 
 
 class TestIsPeriodical:
     def test_day_week(self, gregorian):
-        h = gregorian.hierarchy
-        span = 48 * 7 * 20
-        day = materialize(h, "day", span)
-        week = materialize(h, "week", span)
-        assert is_periodical(day, week) == (1, 7)
+        assert is_periodical(gregorian.hierarchy, "day", "week", 48 * 7 * 20) == (1, 7)
 
     def test_day_month_without_leap_years(self, gregorian_2013_days):
         # 2013-2015 contains no leap day, so months repeat yearly
-        h = gregorian_2013_days.hierarchy
-        span = 3 * 365
-        day = materialize(h, "day", span)
-        month = materialize(h, "month", span)
-        assert is_periodical(day, month) == (12, 365)
+        assert is_periodical(gregorian_2013_days.hierarchy, "day", "month", 3 * 365) == (12, 365)
 
     def test_day_month_with_leap_years(self, gregorian_days):
-        h = gregorian_days.hierarchy
-        span = 3 * 365
-        day = materialize(h, "day", span)
-        month = materialize(h, "month", span)
-        assert is_periodical(day, month) is None
+        assert is_periodical(gregorian_days.hierarchy, "day", "month", 3 * 365) is None
 
     def test_insufficient_span(self, gregorian_days):
-        h = gregorian_days.hierarchy
-        day = materialize(h, "day", 20)
-        month = materialize(h, "month", 20)
         with pytest.raises(ComputationError) as err:
-            is_periodical(day, month)
+            is_periodical(gregorian_days.hierarchy, "day", "month", 20)
         assert err.value.kind == "insufficient-span"
+
+
+@st.composite
+def proper_ladders(draw):
+    """Rules of a ladder: constant bottom, one irregular rung, one or two constant rungs."""
+    return [
+        draw(st.integers(2, 5)),
+        tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))),
+        *draw(st.lists(st.integers(2, 13), min_size=1, max_size=2)),
+    ]
+
+
+def build_ladder(rules) -> Hierarchy:
+    rungs = [
+        Rung(f"r{k}", ConstantPeriod(r) if isinstance(r, int) else IrregularMapping(r))
+        for k, r in enumerate(rules)
+    ]
+    return validate_hierarchy(Hierarchy("random", (*rungs, Rung("top", ConstantPeriod(1)))))
+
+
+def verdict(check, *args):
+    try:
+        return check(*args)
+    except TimegrainError as exc:
+        return exc.kind
+
+
+class TestAgainstTickingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(rules=proper_ladders(), span=st.integers(1, 3000))
+    def test_locators_levels_and_relativities(self, rules, span):
+        h = build_ladder(rules)
+        names = h.rung_names
+        bottom, cards, *periods = rules
+        # one full cycle of the top rung's sizes, so every rung repeats within it
+        cycle = bottom * sum(cards) * lcm(len(cards), prod(periods)) // len(cards)
+        starts = dict(zip(names, ladder_boundaries(rules, max(cycle, span))))
+        for name, b in starts.items():
+            assert granule_start(h, name, np.arange(len(b))).tolist() == b
+            granule_of = np.repeat(np.arange(len(b) - 1), np.diff(b))
+            assert (linear_granule(h, np.arange(b[-1]), name) == granule_of).all()
+        for d in enumerate_cyclic(h):
+            assert d.levels == largest_count(starts[d.lower], starts[d.upper]), d.name
+        for fine in names:
+            for coarse in names:
+                f, c = starts[fine], starts[coarse]
+                assert finer_than(h, fine, coarse, span) == finer_than_oracle(f, c, span)
+                assert groups_into(h, fine, coarse, span) == groups_into_oracle(f, c, span)
+                assert verdict(is_periodical, h, fine, coarse, span) == periodical_oracle(
+                    f, c, span
+                )
+
+
+def test_levels_when_irregular_rules_nest():
+    # r2's rule counts r2 granules, whose sizes vary: r2_top counts whole lower
+    # granules, and r0_top sizes (18, 20, 22) recur only every third top granule
+    rules = [2, (3, 1, 2), (2, 3), 2]
+    h = build_ladder(rules)
+    starts = dict(zip(h.rung_names, ladder_boundaries(rules, 600)))
+    for d in enumerate_cyclic(h):
+        assert d.levels == largest_count(starts[d.lower], starts[d.upper]), d.name
+        assert evaluate(h, d, np.arange(600)).max() == d.levels - 1, d.name
+
+
+def test_coprime_ladder_validates_quickly():
+    # 9,973 cardinalities grouped by 9,967: the grouped table must not be tiled to the lcm
+    cards = tuple(1 + i % 9 for i in range(9973))
+    t0 = time.perf_counter()
+    build_ladder([2, cards, 9967])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_days_in_month_oracle_against_fixture_table(gregorian_days):

@@ -84,6 +84,14 @@ class TestIngest:
         assert err.value.kind == "non-finite-measurement"
         assert err.value.message.startswith("row 4:")
 
+    def test_non_utf8_file_rejected(self, gregorian, tmp_path):
+        path = tmp_path / "meter.csv"
+        path.write_bytes(b"timestamp,customer,kwh\n2012-01-01 00:00,c\xff,0.5\n")
+        with pytest.raises(DataError) as err:
+            ingest(path, SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "bad-encoding"
+        assert str(path) in err.value.message
+
     def test_missing_column(self, gregorian):
         with pytest.raises(DataError) as err:
             ingest(make_csv(["2012-01-01 00:00,c1"], header="timestamp,customer"),
