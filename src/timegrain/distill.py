@@ -30,6 +30,9 @@ GEOMETRIES = ("quantile-area", "box", "violin-like-density", "letter-value-count
 
 SMALL_CELL_N = 30
 
+# largest level counts of the low, medium and high categories
+LEVEL_BOUNDS = (7, 14, 31)
+
 # trustworthy letter-value screening in ``recommend`` (rule in its docstring)
 _LV_Z = NormalDist().inv_cdf(0.975)
 _LV_DEPTH = 4
@@ -53,7 +56,6 @@ class CellSummary:
 @dataclass(frozen=True)
 class LevelsCategory:
     category: str
-    bounds: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -169,20 +171,14 @@ def summarize_cells(
     return out
 
 
-def categorize_levels(
-    n_levels: int, bounds: tuple[int, int, int] = (7, 14, 31)
-) -> LevelsCategory:
-    """low up to 7 levels, medium to 14, high to 31, very-high beyond."""
+def categorize_levels(n_levels: int) -> LevelsCategory:
+    """low, medium or high up to the matching ``LEVEL_BOUNDS`` entry; very-high beyond."""
     if n_levels < 1:
         raise ValidationError("bad-levels", "a cyclic granularity has at least one level")
-    low, medium, high = bounds
-    if n_levels <= low:
-        return LevelsCategory("low", bounds)
-    if n_levels <= medium:
-        return LevelsCategory("medium", bounds)
-    if n_levels <= high:
-        return LevelsCategory("high", bounds)
-    return LevelsCategory("very-high", bounds)
+    for category, bound in zip(("low", "medium", "high"), LEVEL_BOUNDS):
+        if n_levels <= bound:
+            return LevelsCategory(category)
+    return LevelsCategory("very-high")
 
 
 _SWAP_NOTE = (
@@ -195,7 +191,6 @@ def recommend(
     x: CyclicDescriptor,
     facet: CyclicDescriptor,
     classification: PairClassification,
-    bounds: tuple[int, int, int] = (7, 14, 31),
 ) -> Recommendation:
     """Suggest display geometries, or refuse outright for a clash.
 
@@ -204,18 +199,18 @@ def recommend(
     - The x levels category decides the base geometry: ``high`` or
       ``very-high`` gets quantile-area, ``low`` or ``medium`` gets box and
       violin-like-density.
-    - ``letter-value-counts`` is added when the smallest occupied cell
-      supports trustworthy letter values down to the sixteenths. After
-      Hofmann, Kafadar & Wickham, "Letter-value plots: boxplots for large
-      data" (JCGS 2017), the letter value at tail probability 2**-d is
+    - ``letter-value-counts`` is added when the smallest cell supports
+      trustworthy letter values down to the sixteenths. After Hofmann,
+      Kafadar & Wickham, "Letter-value plots: boxplots for large data"
+      (JCGS 2017), the letter value at tail probability 2**-d is
       trustworthy when n * 2**-d >= 2 * z**2, z = z_0.975 ~ 1.96. Depth
       d = 4 is a policy choice, not fixed by that paper; it puts the
       cut-off at n >= 16 * 2 * z**2 ~ 122.9, that is 123 rows.
     - A near-clash keeps its geometries and gains a note naming the rare
       cells.
     """
-    x_cat = categorize_levels(x.levels, bounds)
-    f_cat = categorize_levels(facet.levels, bounds)
+    x_cat = categorize_levels(x.levels)
+    f_cat = categorize_levels(facet.levels)
     notes = [_SWAP_NOTE]
     if classification.verdict == "clash":
         return Recommendation(
@@ -226,9 +221,8 @@ def recommend(
         geometries = ["quantile-area"]
     else:
         geometries = ["box", "violin-like-density"]
-    occ = classification.occupancy
-    nonzero = occ.counts[occ.counts > 0]
-    if len(nonzero) and int(nonzero.min()) * 2.0**-_LV_DEPTH >= 2 * _LV_Z**2:
+    # outside a clash no cell is empty
+    if int(classification.occupancy.counts.min()) * 2.0**-_LV_DEPTH >= 2 * _LV_Z**2:
         geometries.append("letter-value-counts")
     if classification.verdict == "near-clash":
         cells = ", ".join(

@@ -2,10 +2,11 @@
 
 The Gregorian ladders are generated from the standard leap rule at
 construction time rather than shipping centuries of cardinalities; the
-default 28-year window starting 2012 repeats exactly until the 2100
-century exception. The smart-meter dataset carries injected daily and
-weekly structure plus skewed noise; the cricket dataset carries a mild
-late-innings scoring drift.
+default 400-year month table is the exact Gregorian cycle (4,800 months,
+146,097 days, exactly 20,871 weeks), so it repeats without drift. The
+smart-meter dataset carries injected daily and weekly structure plus
+skewed noise; the cricket dataset carries a mild late-innings scoring
+drift.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ def _weekday_labels(origin_year: int) -> tuple[str, ...]:
 
 
 def gregorian_calendar(
-    bottom: str = "halfhour", origin_year: int = 2012, years: int = 28
+    bottom: str = "halfhour", origin_year: int = 2012, years: int = 400
 ) -> Calendar:
     """Gregorian ladder anchored at January 1 of ``origin_year``.
+
+    The month table covers ``years`` years and then repeats. The default
+    400 years is the exact Gregorian cycle; a shorter table drifts at the
+    first century year it gets wrong (28 years from 2012 make 2100 leap).
 
     With a sub-day bottom the ladder carries a 7-day week rung; its
     irregular rule to month is anchored on days, since weeks slide
@@ -111,7 +116,7 @@ def gregorian_calendar(
             origin=f"{origin_year}-01-01 00:00",
             origin_note=(
                 f"midnight, {origin_weekday} 1 January {origin_year}; month table "
-                f"covers {years} years and repeats"
+                f"covers {years} years and repeats (400 is the exact Gregorian cycle)"
             ),
             labels=labels,
         )

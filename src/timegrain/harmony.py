@@ -47,14 +47,6 @@ class OccupancyTable:
     mode: str
     total: int
 
-    @property
-    def k(self) -> int:
-        return self.ci.levels
-
-    @property
-    def l(self) -> int:
-        return self.cj.levels
-
 
 @dataclass(frozen=True)
 class PairClassification:
@@ -114,6 +106,14 @@ def cross_tab(
     return OccupancyTable(ci, cj, counts, mode, int(len(zs)))
 
 
+def _verdict(counts: np.ndarray, near_threshold: float, near_floor: int) -> tuple[str, float]:
+    """The verdict on a K x L count table and the rarity cutoff it used."""
+    if not counts.all():
+        return "clash", 0.0
+    cutoff = max(float(near_floor), near_threshold * float(counts.mean()))
+    return ("near-clash" if (counts < cutoff).any() else "harmony"), cutoff
+
+
 def classify_pair(
     occ: OccupancyTable,
     near_threshold: float = DEFAULT_NEAR_THRESHOLD,
@@ -122,22 +122,17 @@ def classify_pair(
     """Clash on any empty cell; near-clash on rare cells; harmony otherwise.
 
     A cell is rare when its count falls below
-    ``max(near_floor, near_threshold * mean nonzero count)``: the relative
-    term catches gross imbalance in dense tables, the floor catches
-    combinations seen at most once however long the span.
+    ``max(near_floor, near_threshold * mean count)``: the relative term
+    catches gross imbalance in dense tables, the floor catches
+    combinations seen at most once however long the span. The evidence
+    lists the empty cells of a clash and the rare cells of a near-clash,
+    as (row, column, count) in row-major order.
     """
-    counts = occ.counts
-    empty = np.argwhere(counts == 0)
-    if len(empty):
-        cells = tuple((int(k), int(l), 0) for k, l in empty)
-        return PairClassification("clash", cells, occ.mode, 0.0, occ)
-    nonzero = counts[counts > 0]
-    cutoff = max(float(near_floor), near_threshold * float(nonzero.mean()))
-    rare = np.argwhere(counts < cutoff)
-    if len(rare):
-        cells = tuple((int(k), int(l), int(counts[k, l])) for k, l in rare)
-        return PairClassification("near-clash", cells, occ.mode, cutoff, occ)
-    return PairClassification("harmony", (), occ.mode, cutoff, occ)
+    verdict, cutoff = _verdict(occ.counts, near_threshold, near_floor)
+    # a clash has cutoff 0, so only its empty cells fall below 1
+    cells = np.argwhere(occ.counts < max(cutoff, 1.0))
+    evidence = tuple((int(k), int(l), int(occ.counts[k, l])) for k, l in cells)
+    return PairClassification(verdict, evidence, occ.mode, cutoff, occ)
 
 
 @dataclass(frozen=True)
@@ -168,9 +163,8 @@ def harmony_table(
     rows: list[HarmonyRow] = []
     for i, a in enumerate(kept):
         for b in kept[i + 1 :]:
-            verdict = classify_pair(
-                cross_tab(data, a, b, cal), near_threshold, near_floor
-            ).verdict
+            counts = cross_tab(data, a, b, cal).counts
+            verdict, _ = _verdict(counts, near_threshold, near_floor)
             if verdict == "clash" or (verdict == "near-clash" and not keep_near_clashes):
                 continue
             rows.append(HarmonyRow(a.name, b.name, a.levels, b.levels))

@@ -103,11 +103,14 @@ def ingest(
     Rows are rejected (with their line number) on missing fields (blank
     lines included), unparseable timestamps, timestamps before the origin,
     duplicate (keys, index) pairs, or infinite measurements. Blank cells
-    and ``nan`` are missing measurements. A file that is not UTF-8 is
-    rejected as a whole.
+    and ``nan`` are missing measurements. A path that cannot be opened
+    (a directory, say), or a file that is not UTF-8, is rejected as a whole.
     """
     if isinstance(source, (str, Path)):
-        handle: Iterable[str] = open(source, "r", encoding="utf-8", newline="")
+        try:
+            handle: Iterable[str] = open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError("unreadable-file", f"cannot read {source}: {exc.strerror}") from None
         close = True
     else:
         handle, close = source, False
@@ -272,13 +275,11 @@ def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
     with csv_writer(out, delimiter) as writer:
         header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
         writer.writerow(header)
-        key_cols = list(t.keys.values())
-        meas_cols = list(t.measurements.values())
-        cyc_cols = [col for _, col in t.cyclic.values()]
-        for i in range(len(t)):
-            row = [t.timestamps[i]]
-            row += [col[i] for col in key_cols]
-            row.append(int(t.index[i]))
-            row += [_format_measurement(float(col[i])) for col in meas_cols]
-            row += [int(col[i]) for col in cyc_cols]
-            writer.writerow(row)
+        columns = [
+            t.timestamps,
+            *t.keys.values(),
+            t.index.tolist(),
+            *([_format_measurement(v) for v in col.tolist()] for col in t.measurements.values()),
+            *(col.tolist() for _, col in t.cyclic.values()),
+        ]
+        writer.writerows(zip(*columns))

@@ -19,7 +19,7 @@ from timegrain.table import ingest
 
 @pytest.fixture(scope="session")
 def gregorian():
-    """Shipped half-hour ladder: halfhour/hour/day/week/month/year, 28 years."""
+    """Shipped half-hour ladder: halfhour/hour/day/week/month/year, 400-year month table."""
     return load_calendar("gregorian.cal")
 
 

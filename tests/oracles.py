@@ -172,3 +172,20 @@ def quantile_oracle(values, p: float) -> float:
     hi = min(lo + 1, n - 1)
     frac = h - lo
     return data[lo] + frac * (data[hi] - data[lo])
+
+
+def pair_verdict_oracle(counts: list[list[int]], near_threshold: float, near_floor: int):
+    """(verdict, evidence, cutoff) of a K x L count table, cell by cell.
+
+    Clash when a cell is empty, citing the empty cells with cutoff 0.
+    Otherwise a cell is rare below max(near_floor, near_threshold x mean
+    count); near-clash citing the rare cells if there are any, else
+    harmony. Cells are (row, column, count) in row-major order.
+    """
+    cells = [(k, l, c) for k, row in enumerate(counts) for l, c in enumerate(row)]
+    empty = [cell for cell in cells if cell[2] == 0]
+    if empty:
+        return "clash", empty, 0.0
+    cutoff = float(max(near_floor, near_threshold * (sum(c for *_, c in cells) / len(cells))))
+    rare = [cell for cell in cells if cell[2] < cutoff]
+    return ("near-clash" if rare else "harmony"), rare, cutoff

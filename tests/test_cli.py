@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 
 import pytest
@@ -75,6 +76,43 @@ def test_command_output_is_repeatable(session, tmp_path, argv):
     assert written[0] == written[1]
 
 
+# sha256 of the outputs over the generated fixtures (seed 42), the full
+# two-year smart-meter dataset and the generated gregorian.cal
+PINNED = {
+    "computed": (
+        ["granularity", "compute", "hour_day", "day_week", "wknd_wday"],
+        "4e238f65fea326f95245c6bb1049e917f5b9d12ac0f6ac3056f6fdd8d0f822f5",
+    ),
+    "harmony-observed": (
+        ["harmony"],
+        "44797d6c4b14b6071ca1d4fd53852e34243c06cbd698b16792b1a5fbbb4b567d",
+    ),
+    "harmony-structural": (
+        ["harmony", "--mode", "structural", "--span", "490896"],
+        "44797d6c4b14b6071ca1d4fd53852e34243c06cbd698b16792b1a5fbbb4b567d",
+    ),
+    "summary": (
+        ["summarize", *PAIR],
+        "55baeeb8597645980d7ad6ac3b40d68e2c5abf0716701b7c9bed97f47547a933",
+    ),
+    "summary-letter-values": (
+        ["summarize", *PAIR, "--letter-values"],
+        "46c11963d642f0185d10b7e9a4394c6028dcd4f4ce7b51e495533eb13b6235d4",
+    ),
+    "plot-spec": (
+        ["plot-spec", *PAIR, "--geometry", "quantile-area"],
+        "f8aced27ab22497d3a43a41ce647e3ade7fb0fccd2fd407402eb479dd3faf084",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,digest", PINNED.values(), ids=PINNED.keys())
+def test_output_bytes_are_pinned(workdir, tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert cli.run([*argv, "--config", str(workdir / "smart_meter.ini"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_granularity_list_uses_delimiter(session, tmp_path):
     out = tmp_path / "list.csv"
     argv = ["granularity", "list", "--config", str(session / "smart_meter.ini")]
@@ -117,6 +155,12 @@ FAULTS = {
         ["harmony"],
         3,
         "bad-config exit=3: [session] near_threshold",
+    ),
+    "dataset-directory": (
+        {"ini": ("dataset = synthetic_smart_meter.csv", "dataset = .")},
+        ["harmony"],
+        4,
+        "unreadable-file exit=4: cannot read ",
     ),
     "derive-map": (
         {"ini": ("map = 0:1 6:1 rest:0", "map = 0:1 6:x rest:0")},

@@ -1,3 +1,5 @@
+from datetime import date
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,43 @@ class TestQuasiCircular:
         assert (vals[resets + 1] == 0).all()
         inside = np.where(steps > 0)[0]
         assert (steps[inside] == 1).all()
+
+
+class TestExactGregorian:
+    """The bundled half-hour ladder against calendar arithmetic."""
+
+    def test_first_of_march_2100(self, gregorian):
+        # 2100 is not a leap year; a repeated 28-year month table makes it one
+        h = gregorian.hierarchy
+        z = (date(2100, 3, 1) - date(2012, 1, 1)).days * 48
+        assert evaluate(h, pairwise_descriptor(h, "day", "month"), z) == 0
+        assert evaluate(h, pairwise_descriptor(h, "month", "year"), z) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        days=st.lists(
+            st.integers(0, (date(2412, 1, 1) - date(2012, 1, 1)).days - 1),
+            min_size=1, max_size=50,
+        ),
+        halfhour=st.integers(0, 47),
+    )
+    def test_matches_datetime64_over_400_years(self, gregorian, days, halfhour):
+        h = gregorian.hierarchy
+        day = np.datetime64("2012-01-01") + np.asarray(days)
+        month = day.astype("M8[M]")
+        year = day.astype("M8[Y]")
+        day_month = (day - month.astype("M8[D]")).astype(np.int64)
+        expected = {
+            "day_month": day_month,
+            "day_year": (day - year.astype("M8[D]")).astype(np.int64),
+            "month_year": (month - year.astype("M8[M]")).astype(np.int64),
+            "week_month": day_month // 7,
+            "day_week": np.asarray(days) % 7,
+        }
+        zs = np.asarray(days, dtype=np.int64) * 48 + halfhour
+        for name, want in expected.items():
+            d = pairwise_descriptor(h, *name.split("_"))
+            assert (evaluate(h, d, zs) == want).all(), name
 
 
 class TestAperiodic:

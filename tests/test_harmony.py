@@ -1,11 +1,17 @@
 import io
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import pair_verdict_oracle
 from timegrain import (
     ComputationError,
+    HarmonyRow,
     IndexSpan,
+    OccupancyTable,
     classify_pair,
     cross_tab,
     derive_descriptor,
@@ -15,6 +21,12 @@ from timegrain import (
 )
 
 YEAR_2013 = IndexSpan(start=366 * 48, length=365 * 48)
+
+count_tables = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 60), min_size=k, max_size=k), min_size=1, max_size=5
+    )
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +105,35 @@ class TestClassify:
             vb = classify_pair(cross_tab(span, ds[b], ds[a], gregorian)).verdict
             assert va == vb
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=count_tables,
+        near_threshold=st.floats(0.0, 1.0),
+        near_floor=st.integers(0, 3),
+    )
+    def test_matches_oracle(self, counts, near_threshold, near_floor):
+        table = np.asarray(counts, dtype=np.int64)
+        # classify_pair reads only the counts and the mode
+        occ = OccupancyTable(None, None, table, "observed", int(table.sum()))
+        c = classify_pair(occ, near_threshold, near_floor)
+        verdict, evidence, cutoff = pair_verdict_oracle(counts, near_threshold, near_floor)
+        assert (c.verdict, c.evidence, c.threshold) == (verdict, tuple(evidence), cutoff)
+
     def test_transposed_occupancy(self, gregorian, ds):
         occ_ab = cross_tab(YEAR_2013, ds["day_week"], ds["month_year"], gregorian)
         occ_ba = cross_tab(YEAR_2013, ds["month_year"], ds["day_week"], gregorian)
         assert (occ_ab.counts == occ_ba.counts.T).all()
+
+
+def rows_from_verdicts(descriptors, data, cal, max_levels, keep_near):
+    """Harmony rows rebuilt from ``classify_pair`` on each unordered pair."""
+    kept = {"harmony", "near-clash"} if keep_near else {"harmony"}
+    rows = []
+    for a, b in combinations([d for d in descriptors if d.levels <= max_levels], 2):
+        if classify_pair(cross_tab(data, a, b, cal)).verdict in kept:
+            rows += [HarmonyRow(a.name, b.name, a.levels, b.levels),
+                     HarmonyRow(b.name, a.name, b.levels, a.levels)]
+    return sorted(rows, key=lambda r: (r.facet, r.x))
 
 
 class TestHarmonyTable:
@@ -130,6 +167,23 @@ class TestHarmonyTable:
     def test_rows_sorted_lexicographically(self, smart_table, smart_calendar, smart_catalog):
         rows = harmony_table(list(smart_catalog.values()), smart_table, smart_calendar)
         assert rows == sorted(rows, key=lambda r: (r.facet, r.x))
+
+    @pytest.mark.parametrize("keep_near", [False, True])
+    @pytest.mark.parametrize("days", [366, 10227])
+    def test_structural_rows_follow_classify_pair(self, gregorian, ds, days, keep_near):
+        span = IndexSpan(length=days * 48)
+        rows = harmony_table(
+            list(ds.values()), span, gregorian, max_levels=400, keep_near_clashes=keep_near
+        )
+        assert rows == rows_from_verdicts(list(ds.values()), span, gregorian, 400, keep_near)
+
+    @pytest.mark.parametrize("keep_near", [False, True])
+    def test_observed_rows_follow_classify_pair(
+        self, smart_table, smart_calendar, smart_catalog, keep_near
+    ):
+        descriptors = list(smart_catalog.values())
+        rows = harmony_table(descriptors, smart_table, smart_calendar, keep_near_clashes=keep_near)
+        assert rows == rows_from_verdicts(descriptors, smart_table, smart_calendar, 31, keep_near)
 
     def test_export_header(self, gregorian, ds):
         rows = harmony_table([ds["hour_day"], ds["day_week"]], YEAR_2013, gregorian)
