@@ -133,10 +133,12 @@ def _parse_rung(name: str, body, source: str) -> Rung:
     if "period" in body:
         return Rung(name, ConstantPeriod(_parse_int(f"rung {name}", "period", body["period"])))
     if "cardinalities" in body:
-        cards = tuple(
-            _parse_int(f"rung {name}", "cardinalities", tok)
-            for tok in body["cardinalities"].split()
-        )
+        tokens = body["cardinalities"].split()
+        try:
+            cards = tuple(map(int, tokens))
+        except ValueError:
+            for tok in tokens:  # raises for the first token that is not an integer
+                _parse_int(f"rung {name}", "cardinalities", tok)
         unit = body.get("unit") or None
         return Rung(name, IrregularMapping(cards, unit=unit))
     raise ValidationError(

@@ -212,7 +212,7 @@ def validate_hierarchy(h: Hierarchy) -> Hierarchy:
         else:
             if not rule.cardinalities:
                 raise ValidationError("bad-cardinality", f"rung {rung.name!r} has an empty cardinality table")
-            if any(c < 1 for c in rule.cardinalities):
+            if min(rule.cardinalities) < 1:
                 raise ValidationError(
                     "bad-cardinality", f"rung {rung.name!r} has a non-positive cardinality"
                 )

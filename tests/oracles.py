@@ -7,7 +7,9 @@ test.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+import csv
+import math
+from datetime import date, datetime, timedelta
 
 
 def days_in_month(year: int, month: int) -> int:
@@ -189,3 +191,76 @@ def pair_verdict_oracle(counts: list[list[int]], near_threshold: float, near_flo
     cutoff = float(max(near_floor, near_threshold * (sum(c for *_, c in cells) / len(cells))))
     rare = [cell for cell in cells if cell[2] < cutoff]
     return ("near-clash" if rare else "harmony"), rare, cutoff
+
+
+def ingest_oracle(lines: list[str], schema):
+    """Row-by-row reading of a delimited table, as ``ingest`` documents it.
+
+    ``lines`` are the file's lines, header first; ``schema`` has the
+    attributes of an ``IngestionSchema``. Returns ``(index, stamps, keys,
+    measurements)`` (keys and measurements map column names to lists; a
+    missing measurement is nan), or ``(kind, message)`` of the first fault:
+    the first faulty row in file order, then the first infinite
+    measurement, column by column.
+    """
+    rows = list(csv.reader(lines, delimiter=schema.delimiter))
+    header = rows[0]
+    pos = {c: header.index(c) for c in (schema.timestamp_column, *schema.key_columns,
+                                         *schema.measurement_columns)}
+    fmt = schema.timestamp_format
+    if fmt != "index":
+        origin = datetime.strptime(schema.origin, fmt)
+        amount, unit = int(schema.bottom_duration[:-1]), schema.bottom_duration[-1]
+        step = timedelta(seconds=amount * {"s": 1, "m": 60, "h": 3600, "d": 86400}[unit])
+    index, stamps, seen = [], [], set()
+    keys = {k: [] for k in schema.key_columns}
+    measurements = {m: [] for m in schema.measurement_columns}
+    for lineno, row in enumerate(rows[1:], start=2):
+        short = ("short-row", f"row {lineno}: {len(row)} fields, fewer than the header's {len(header)}")
+        if pos[schema.timestamp_column] >= len(row):
+            return short
+        raw = row[pos[schema.timestamp_column]]
+        if fmt == "index":
+            try:
+                z = int(raw)
+            except ValueError:
+                return "unparseable-timestamp", f"row {lineno}: {raw!r} is not an index"
+            if z < 0:
+                return "pre-origin", f"row {lineno}: index {z} is negative"
+        else:
+            try:
+                moment = datetime.strptime(raw, fmt)
+            except ValueError:
+                return "unparseable-timestamp", f"row {lineno}: {raw!r} does not match {fmt!r}"
+            if moment < origin:
+                return "pre-origin", f"row {lineno}: {raw!r} predates origin {schema.origin!r}"
+            z = (moment - origin) // step
+        if any(pos[k] >= len(row) for k in schema.key_columns):
+            return short
+        fingerprint = tuple(row[pos[k]] for k in schema.key_columns) + (z,)
+        if fingerprint in seen:
+            return "duplicate-row", f"row {lineno}: duplicate keys/index {fingerprint}"
+        seen.add(fingerprint)
+        values = []
+        for m in schema.measurement_columns:
+            if pos[m] >= len(row):
+                return short
+            cell = row[pos[m]].strip()
+            if not cell:
+                values.append(math.nan)
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return "unparseable-measurement", f"row {lineno}: {cell!r} is not numeric"
+        index.append(z)
+        stamps.append(raw)
+        for k in schema.key_columns:
+            keys[k].append(row[pos[k]])
+        for m, v in zip(schema.measurement_columns, values):
+            measurements[m].append(v)
+    for m, values in measurements.items():
+        for lineno, v in enumerate(values, start=2):
+            if math.isinf(v):
+                return "non-finite-measurement", f"row {lineno}: {m} value {v} is not finite"
+    return index, stamps, keys, measurements

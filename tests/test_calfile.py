@@ -111,3 +111,13 @@ def test_semester_structure(semester):
     assert sizes["exam"] == 16 * 4
     spans = [e - s for c in ev.categories for s, e in c.intervals]
     assert all(x > 0 for x in spans)
+
+
+def test_bad_cardinality_named_in_long_table():
+    tokens = ["30", "31"] * 2400
+    tokens[4000] = "3l"
+    text = MINIMAL.replace("period = 10", "cardinalities = " + " ".join(tokens))
+    with pytest.raises(ValidationError) as err:
+        parse_calendar(text)
+    assert err.value.kind == "bad-calendar-file"
+    assert err.value.message == "[rung tick] cardinalities = '3l' is not an integer"

@@ -1,7 +1,13 @@
 import io
+import math
+import warnings
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ingest_oracle
 
 from timegrain import (
     DataError,
@@ -14,6 +20,7 @@ from timegrain import (
     export_table,
     ingest,
     pairwise_descriptor,
+    table,
 )
 
 
@@ -92,6 +99,22 @@ class TestIngest:
         assert err.value.kind == "bad-encoding"
         assert str(path) in err.value.message
 
+    @pytest.mark.parametrize("early_duplicate", [False, True])
+    def test_rows_before_undecodable_text_checked_first(self, gregorian, tmp_path, early_duplicate):
+        # the bad byte lies blocks after the start, so the rows before it are read first
+        rows = [f"{halfhour_stamp(i)},c1,0.5" for i in range(1000)]
+        if early_duplicate:
+            rows[1] = rows[0]
+        path = tmp_path / "meter.csv"
+        path.write_bytes("\n".join(["timestamp,customer,kwh", *rows]).encode().replace(
+            b"\n2012-01-19 10:00,c1", b"\n2012-01-19 10:00,c\xff"))
+        with pytest.raises(DataError) as err:
+            ingest(path, SCHEMA, gregorian.hierarchy)
+        if early_duplicate:
+            assert (err.value.kind, err.value.message[:6]) == ("duplicate-row", "row 3:")
+        else:
+            assert err.value.kind == "bad-encoding"
+
     def test_missing_column(self, gregorian):
         with pytest.raises(DataError) as err:
             ingest(make_csv(["2012-01-01 00:00,c1"], header="timestamp,customer"),
@@ -104,11 +127,163 @@ class TestIngest:
         assert np.isnan(t.measurements["kwh"][0])
         assert t.measurements["kwh"][1] == 0.25
 
+    @pytest.mark.parametrize("stamp", [
+        "2012-01-01T00:30", "2012-01-01 00:30:00", "2012-01-01", " 2012-01-01 00:30",
+        "2012-01-01 00:30 ", "+2012-01-01 00:30", "20120-01-01 00:30", "NaT",
+        "2012-01-01 00:30Z",
+    ])
+    def test_numpy_only_spellings_rejected(self, gregorian, stamp):
+        rows = ["2012-01-01 00:00,c1,0.5", f"{stamp},c1,0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "unparseable-timestamp"
+        assert err.value.message == f"row 3: {stamp!r} does not match '%Y-%m-%d %H:%M'"
+
+    @pytest.mark.parametrize("fmt, origin, step", [
+        ("%Y-%m-%d", "2012-01-01", "1d"),
+        ("%Y-%m-%d %H", "2012-01-01 00", "1h"),
+        ("%Y-%m-%dT%H:%M", "2012-01-01T00:00", "30m"),
+        ("%Y-%m-%d %H:%M:%S", "2012-01-01 00:00:00", "15m"),
+        ("index", "", ""),
+    ])
+    def test_clean_files_skip_the_row_loop(self, gregorian, monkeypatch, fmt, origin, step):
+        monkeypatch.setattr(table, "_ingest_rows", None)
+        schema = IngestionSchema("timestamp", fmt, origin, step, ("customer",), ("kwh",))
+        zs = range(0, 3000, 7)
+        stamps = [str(z) if fmt == "index" else
+                  (ORIGIN + z * table.parse_duration(step)).strftime(fmt) for z in zs]
+        lines = ["timestamp,customer,kwh"] + [
+            f"{stamp},c{1 + z % 2},{z % 5 or ''}" for z, stamp in zip(zs, stamps)
+        ]
+        index, stamps, keys, measurements = ingest_oracle(lines, schema)
+        t = ingest(io.StringIO("\n".join(lines)), schema, gregorian.hierarchy)
+        assert t.index.tolist() == index == list(zs)
+        assert t.timestamps == tuple(stamps)
+        assert t.keys == {k: tuple(v) for k, v in keys.items()}
+        assert np.array_equal(t.measurements["kwh"], measurements["kwh"], equal_nan=True)
+
+    def test_strptime_only_spelling_accepted(self, gregorian):
+        rows = ["2012-1-1 0:00,c1,0.5", "2012-01-01 00:00,c2,0.5", "2012-1-2 1:30,c1,0.5"]
+        t = ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert t.index.tolist() == [0, 0, 51]
+        assert t.timestamps == ("2012-1-1 0:00", "2012-01-01 00:00", "2012-1-2 1:30")
+
+    def test_index_keeps_int_semantics(self, gregorian):
+        schema = IngestionSchema("over", "index", key_columns=("ball",))
+        t = ingest(make_csv([" 5,1", "+5,2", "1_000,1"], header="over,ball"),
+                   schema, gregorian.hierarchy)
+        assert t.index.tolist() == [5, 5, 1000]
+        assert t.timestamps == (" 5", "+5", "1_000")
+
+    @pytest.mark.parametrize("rows, kind, row", [
+        (["2012-01-01 00:00,c1,0.5", "2012-01-01 00:30,c1,x", "2012-01-01 01:00,c1,0.5",
+          "2012-01-01 01:30,c1"], "unparseable-measurement", 3),
+        (["2012-01-01 00:00,c1,0.5", "2012-01-01 00:00,c1,0.5", "yesterday,c1,0.5"],
+         "duplicate-row", 3),
+        (["2012-01-01 00:00,c1,0.5", "2011-12-31 23:30,c1,inf", "2012-01-01 00:00,c1,0.5"],
+         "pre-origin", 3),
+    ], ids=["measurement-then-short", "duplicate-then-timestamp", "pre-origin-then-duplicate"])
+    def test_earlier_of_two_faults_reported(self, gregorian, rows, kind, row):
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == kind
+        assert err.value.message.startswith(f"row {row}:")
+
     def test_index_format(self, cricket, cricket_table):
         assert len(cricket_table) == (6 + 8 + 7 + 9) * 2 * 20 * 6
         assert cricket_table.index.min() == 0
         # six balls share each over index, disambiguated by the ball key
         assert cricket_table.index.max() == (6 + 8 + 7 + 9) * 2 * 20 - 1
+
+
+ORIGIN = datetime(2012, 1, 1)
+STAMP_SPELLINGS = {
+    # strptime accepts these two; the second needs the row loop
+    "iso": lambda t: t.strftime("%Y-%m-%d %H:%M"),
+    "unpadded": lambda t: f"{t.year}-{t.month}-{t.day} {t.hour}:{t.minute}",
+    # faults; NumPy reads the first five, which strptime rejects
+    "T": lambda t: t.strftime("%Y-%m-%dT%H:%M"),
+    "seconds": lambda t: t.strftime("%Y-%m-%d %H:%M:%S"),
+    "zulu": lambda t: t.strftime("%Y-%m-%d %H:%MZ"),
+    "padded": lambda t: t.strftime(" %Y-%m-%d %H:%M"),
+    "bare-date": lambda t: t.strftime("%Y-%m-%d"),
+    "no-such-day": lambda t: "2012-02-30 00:00",
+    "pre-origin": lambda t: "2011-12-31 23:30",
+}
+INDEX_SPELLINGS = {
+    "plain": str, "padded": lambda z: f" {z}", "signed": lambda z: f"+{z}",
+    "underscored": lambda z: f"{z:_}", "negative": lambda z: f"-{z + 1}",
+    "word": lambda z: "over", "arabic-indic": lambda z: "".join(chr(0x660 + int(c)) for c in str(z)),
+}
+CELLS = ["0.5", "1.25", "", "nan", " 0.75", "1_000", "inf", "-inf", "1e999", "abc", " "]
+
+
+@st.composite
+def meter_files(draw, by_index):
+    """Lines of a half-hourly meter file: mostly sound rows, some perturbed ones."""
+    spellings = INDEX_SPELLINGS if by_index else STAMP_SPELLINGS
+    sound, base = draw(st.booleans()), draw(st.sampled_from(list(spellings)[:2]))
+    start, stride = draw(st.integers(0, 20000)), draw(st.integers(1, 3))
+    order = draw(st.permutations(["timestamp", "customer", "kwh"]))
+    lines = [",".join(order)]
+    for i in range(draw(st.integers(0, 25))):
+        z = start + i * stride
+        spelling, cell, shape = base, draw(st.sampled_from(CELLS[:6])), "full"
+        perturb = "none" if sound else draw(st.sampled_from(["none"] * 6 + ["stamp", "cell", "row"]))
+        if perturb == "stamp":
+            spelling = draw(st.sampled_from(list(spellings)))
+        elif perturb == "cell":
+            cell = draw(st.sampled_from(CELLS))
+        elif perturb == "row":
+            shape = draw(st.sampled_from(["short", "blank", "duplicate"]))
+        stamp = spellings[spelling](z if by_index else ORIGIN + timedelta(minutes=30 * z))
+        fields = {"timestamp": stamp, "customer": draw(st.sampled_from(["c1", "c2", " c1"])),
+                  "kwh": cell}
+        if shape == "duplicate" and len(lines) > 1:
+            lines.append(lines[-1])
+        elif shape == "blank":
+            lines.append("")
+        else:
+            kept = 3 - (shape == "short") * draw(st.integers(1, 2))
+            lines.append(",".join(fields[c] for c in order[:kept]))
+    return lines
+
+
+def nan_as_none(measurements):
+    return {m: [None if math.isnan(v) else v for v in col] for m, col in measurements.items()}
+
+
+def outcome(source, schema, hierarchy):
+    """What ``ingest`` gives, in the oracle's form."""
+    try:
+        t = ingest(source, schema, hierarchy)
+    except DataError as err:
+        return err.kind, err.message
+    return (t.index.tolist(), list(t.timestamps), {k: list(v) for k, v in t.keys.items()},
+            nan_as_none({m: col.tolist() for m, col in t.measurements.items()}))
+
+
+class TestIngestMatchesOracle:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("differential") / "meter.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("by_index", [False, True], ids=["strptime", "index"])
+    def test_same_table_or_error(self, gregorian, path, by_index, data):
+        lines = data.draw(meter_files(by_index))
+        schema = IngestionSchema("timestamp", "index", key_columns=("customer",),
+                                 measurement_columns=("kwh",)) if by_index else SCHEMA
+        expected = ingest_oracle(lines, schema)
+        if len(expected) == 4:
+            expected = (*expected[:3], nan_as_none(expected[3]))
+        text = "\n".join(lines) + "\n"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(io.StringIO(text), schema, gregorian.hierarchy) == expected
+        assert outcome(path, schema, gregorian.hierarchy) == expected
 
 
 class TestEnumerate:
