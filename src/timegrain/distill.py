@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .calfile import Calendar
-from .cyclic import CyclicDescriptor, apply_labels, label_list
+from .cyclic import CyclicDescriptor, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
 from .table import GranularTable, csv_writer
@@ -88,6 +90,52 @@ class Recommendation:
         return "\n".join(lines) + "\n"
 
 
+# one entry of a plot spec's "cells" list as ``json.dumps(indent=2)`` writes it,
+# up to its quantile pairs
+_CELL_JSON = (
+    "\n    {"
+    '\n      "facet_level": %s,'
+    '\n      "facet_label": %s,'
+    '\n      "x_level": %s,'
+    '\n      "x_label": %s,'
+    '\n      "n": %s,'
+    '\n      "mean": %s,'
+    '\n      "min": %s,'
+    '\n      "max": %s,'
+    '\n      "quantiles": '
+)
+_PAIR_JSON = "\n        [\n          %s,\n          %s\n        ]"
+
+
+def _cells_json(cells: list[dict]) -> str:
+    """The "cells" list of a plot spec, byte for byte as ``json.dumps(indent=2)``.
+
+    Each cell has the keys, key order and value types that
+    ``emit_plot_spec`` writes: ints, strings, floats or None, and
+    [probability, value] pairs. Numbers are written with ``int.__repr__``
+    and ``float.__repr__`` as ``json`` does, so a non-finite one comes out
+    as ``inf`` or ``nan``, for the caller to refuse.
+    """
+    templates: dict[int, str] = {}  # by number of quantile pairs
+    parts = []
+    for c in cells:
+        pairs, mean, lo, hi = c["quantiles"], c["mean"], c["min"], c["max"]
+        k = len(pairs)
+        if k not in templates:
+            quantiles = "[" + ",".join([_PAIR_JSON] * k) + "\n      ]" if k else "[]"
+            templates[k] = _CELL_JSON + quantiles + "\n    }"
+        parts.append(templates[k] % (
+            int.__repr__(c["facet_level"]), encode_basestring_ascii(c["facet_label"]),
+            int.__repr__(c["x_level"]), encode_basestring_ascii(c["x_label"]),
+            int.__repr__(c["n"]),
+            "null" if mean is None else float.__repr__(mean),
+            "null" if lo is None else float.__repr__(lo),
+            "null" if hi is None else float.__repr__(hi),
+            *map(float.__repr__, chain.from_iterable(pairs)),
+        ))
+    return "[" + ",".join(parts) + "\n  ]" if parts else "[]"
+
+
 @dataclass(frozen=True)
 class PlotSpec:
     """Declarative visualization document with the summarized data embedded."""
@@ -95,7 +143,25 @@ class PlotSpec:
     document: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.document, indent=2, allow_nan=False) + "\n"
+        """``json.dumps(document, indent=2, allow_nan=False)`` plus a newline.
+
+        The fixed-shape "cells" list is written from templates; the rest of
+        the document goes through ``json.dumps``. A non-finite number raises
+        the ``ValueError`` that ``json.dumps`` raises.
+        """
+        head = json.dumps({**self.document, "cells": []}, indent=2, allow_nan=False)
+        cells = self.document["cells"]
+        text = _cells_json(cells)
+        if "inf" in text or "nan" in text:  # a float's repr holds neither unless non-finite
+            for c in cells:
+                for v in (c["mean"], c["min"], c["max"], *chain.from_iterable(c["quantiles"])):
+                    if v is not None and not math.isfinite(v):
+                        raise ValueError(
+                            f"Out of range float values are not JSON compliant: {v!r}"
+                        )
+        # only a top-level key sits at indent 2 after a raw newline
+        at = head.index('\n  "cells": []') + len('\n  "cells": ')
+        return "".join((head[:at], text, head[at + 2 :], "\n"))
 
 
 def letter_value_probabilities(n: int) -> tuple[float, ...]:
@@ -119,7 +185,7 @@ def _check_probs(probs: Sequence[float]) -> tuple[float, ...]:
         raise ValidationError("empty-probabilities", "need at least one probability")
     if any(not (0.0 < p < 1.0) for p in probs):
         raise ValidationError("bad-probabilities", "probabilities must lie strictly in (0, 1)")
-    return tuple(sorted(probs))
+    return tuple(sorted(map(float, probs)))
 
 
 def summarize_cells(
@@ -135,6 +201,15 @@ def summarize_cells(
     Requires the x and facet columns to be present (augment first).
     Missing responses drop out of their cell's count. With
     ``letter_values`` the probability grid adapts per cell to its n.
+
+    The kept rows are ordered once by (cell, value), so each cell is a
+    sorted segment: its extremes are the segment ends, and its quantiles
+    are read at segment offsets with NumPy's own type-7 arithmetic
+    (virtual index (n - 1) * p, floor, clamp at n - 1, and ``_lerp``'s
+    ``b - diff * (1 - t)`` form for t >= 0.5). Each mean is one
+    ``np.add.reduce`` over the segment. Every statistic equals per-cell
+    ``np.sort`` / ``np.quantile`` / ``mean`` bit for bit. A -0.0 is read
+    as 0.0, so no statistic depends on row order.
     """
     probs = _check_probs(probs)
     xs = t.cyclic_column(x.name)
@@ -142,32 +217,57 @@ def summarize_cells(
     values = t.measurement(response)
     keep = ~np.isnan(values)
     code = fs[keep] * x.levels + xs[keep]
-    vals = values[keep]
-    order = np.argsort(code, kind="stable")
+    vals = values[keep] + 0.0  # -0.0 + 0.0 == +0.0
+    # by value, then stably by cell; codes of 16 bits or less sort by radix
+    order = np.argsort(vals)
+    narrow = code[order].astype(np.min_scalar_type(facet.levels * x.levels - 1))
+    order = order[np.argsort(narrow, kind="stable")]
     code, vals = code[order], vals[order]
     bounds = np.searchsorted(code, np.arange(facet.levels * x.levels + 1))
+    counts = np.diff(bounds)
+    occupied = np.flatnonzero(counts)
+    start, n = bounds[occupied], counts[occupied]
+
+    if letter_values:
+        # the grid depends on n only through its depth, max(1, ceil(log2 n) - 1)
+        depth = np.maximum(np.frexp(n - 1)[1] - 1, 1)
+        _, first, which = np.unique(depth, return_index=True, return_inverse=True)
+        by_depth = [letter_value_probabilities(m) for m in n[first].tolist()]
+        grids = [by_depth[d] for d in which.tolist()]
+    else:
+        grids = [probs] * len(n)
+    # one flat entry per (occupied cell, probability)
+    width = np.fromiter(map(len, grids), dtype=np.intp, count=len(grids))
+    cell = np.repeat(np.arange(len(n)), width)
+    p = np.fromiter(chain.from_iterable(grids), dtype=np.float64, count=len(cell))
+    m = n[cell]
+    virtual = (m - 1) * p
+    floor = np.floor(virtual)
+    frac = virtual - floor
+    below = start[cell] + floor.astype(np.intp)
+    a = vals[below]
+    b = vals[below + (floor < m - 1)]
+    diff = b - a
+    qs = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac).tolist()
+
+    stats = zip(start.tolist(), vals[start].tolist(), vals[start + n - 1].tolist(), grids)
+    flabels, xlabels = label_list(facet), label_list(x)
     out: list[CellSummary] = []
-    for f in range(facet.levels):
-        for xv in range(x.levels):
-            c = f * x.levels + xv
-            # sorting makes every statistic independent of row order
-            cell = np.sort(vals[bounds[c] : bounds[c + 1]])
-            n = len(cell)
-            if n == 0:
-                out.append(
-                    CellSummary(f, apply_labels(facet, f), xv, apply_labels(x, xv),
-                                0, None, None, None, ())
-                )
-                continue
-            cell_probs = letter_value_probabilities(n) if letter_values else probs
-            qs = np.quantile(cell, cell_probs)
-            out.append(
-                CellSummary(
-                    f, apply_labels(facet, f), xv, apply_labels(x, xv), n,
-                    float(cell.mean()), float(cell.min()), float(cell.max()),
-                    tuple((float(p), float(q)) for p, q in zip(cell_probs, qs)),
-                )
+    at = 0
+    for c, count in enumerate(counts.tolist()):
+        f, xv = divmod(c, x.levels)
+        if count == 0:
+            out.append(CellSummary(f, flabels[f], xv, xlabels[xv], 0, None, None, None, ()))
+            continue
+        s, lo, hi, grid = next(stats)
+        out.append(
+            CellSummary(
+                f, flabels[f], xv, xlabels[xv], count,
+                float(np.add.reduce(vals[s : s + count])) / count, lo, hi,
+                tuple(zip(grid, qs[at : at + len(grid)])),
             )
+        )
+        at += len(grid)
     return out
 
 
@@ -240,7 +340,7 @@ def _probs_of(summaries: Sequence[CellSummary]) -> list[tuple[float, ...]]:
 
 
 def _require_probs(summaries, needed, geometry):
-    for probs in _probs_of(summaries):
+    for probs in set(_probs_of(summaries)):
         if any(all(abs(p - q) > 1e-12 for q in probs) for p in needed):
             raise ComputationError(
                 "unsupported-geometry",
@@ -275,7 +375,7 @@ def emit_plot_spec(
     if geometry == "box":
         _require_probs(summaries, (0.25, 0.5, 0.75), geometry)
     if geometry == "letter-value-counts":
-        for probs in _probs_of(summaries):
+        for probs in set(_probs_of(summaries)):
             symmetric = all(any(abs((1 - p) - q) < 1e-12 for q in probs) for p in probs)
             if 0.5 not in probs or not symmetric:
                 raise ComputationError(
@@ -330,7 +430,7 @@ def emit_plot_spec(
                 "mean": s.mean,
                 "min": s.minimum,
                 "max": s.maximum,
-                "quantiles": [[p, v] for p, v in s.quantiles],
+                "quantiles": list(map(list, s.quantiles)),
             }
             for s in summaries
         ],

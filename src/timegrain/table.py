@@ -54,8 +54,8 @@ class IngestionSchema:
     """How to turn a delimited file into an indexed table.
 
     ``timestamp_format`` is a strptime pattern, or the special value
-    ``index`` when the timestamp column already holds non-negative
-    bottom-granule indexes (then ``origin``/``bottom_duration`` are unused).
+    ``index`` when the timestamp column already holds bottom-granule
+    indexes in [0, 2**63) (then ``origin``/``bottom_duration`` are unused).
     ``index`` and the ISO 8601 patterns ``%Y-%m-%d``, ``%Y-%m-%d %H``,
     ``%Y-%m-%d %H:%M`` and ``%Y-%m-%d %H:%M:%S`` (or with ``T`` for the
     space) are read column-wise by ``ingest``; other patterns row by row,
@@ -109,9 +109,11 @@ def ingest(
     origin; the original strings are retained as a presentation column.
     Rows are rejected (with their line number) on missing fields (blank
     lines included), unparseable timestamps, timestamps before the origin,
-    duplicate (keys, index) pairs, or infinite measurements. Blank cells
-    and ``nan`` are missing measurements. A path that cannot be opened
-    (a directory, say), or a file that is not UTF-8, is rejected as a whole.
+    indexes of 2**63 or more, duplicate (keys, index) pairs, or infinite
+    measurements. Blank cells and ``nan`` are missing measurements. A path
+    that cannot be opened (a directory, say), or a file that is not UTF-8,
+    is rejected as a whole; an ``origin`` that ``timestamp_format`` cannot
+    read is a ``ValidationError``.
 
     The needed fields are read in one pass and checked a column at a
     time: ``index`` cells by ``int``, and timestamps in one of the ISO 8601
@@ -147,7 +149,14 @@ def ingest(
                 raise ValidationError(
                     "bad-schema", "timestamp ingestion needs both origin and bottom_duration"
                 )
-            origin = datetime.strptime(schema.origin, schema.timestamp_format)
+            try:
+                origin = datetime.strptime(schema.origin, schema.timestamp_format)
+            except ValueError:
+                raise ValidationError(
+                    "bad-schema",
+                    f"origin {schema.origin!r} does not match timestamp_format "
+                    f"{schema.timestamp_format!r}",
+                ) from None
             step = parse_duration(schema.bottom_duration)
         fault = _read_fields(reader, [header.index(c) for c in names], len(header), rows)
     except UnicodeDecodeError as exc:
@@ -281,6 +290,9 @@ def _has_duplicates(keys: list[tuple[str, ...]], zs: np.ndarray) -> bool:
     return bool(same.any())
 
 
+_INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
+
+
 def _ingest_rows(rows: list[tuple[str, ...]], schema: IngestionSchema, origin, step):
     """The columns of ``rows``, read one row at a time; the first faulty row raises.
 
@@ -307,6 +319,8 @@ def _ingest_rows(rows: list[tuple[str, ...]], schema: IngestionSchema, origin, s
                 ) from None
             if z < 0:
                 raise DataError("pre-origin", f"row {lineno}: index {z} is negative")
+            if z > _INDEX_MAX:
+                raise DataError("index-overflow", f"row {lineno}: index {z} exceeds {_INDEX_MAX}")
         else:
             try:
                 ts = datetime.strptime(raw, fmt)

@@ -168,6 +168,12 @@ FAULTS = {
         3,
         "bad-config exit=3: [derive wknd_wday] map",
     ),
+    "origin-format": (
+        {"ini": ("origin = 2012-01-01 00:00", "origin = 2012-01-01")},
+        ["harmony"],
+        3,
+        "bad-schema exit=3: origin '2012-01-01' does not match timestamp_format '%Y-%m-%d %H:%M'",
+    ),
 }
 
 

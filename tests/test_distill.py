@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import quantile_oracle
 from timegrain import (
     ComputationError,
+    CyclicDescriptor,
     DEFAULT_PROBS,
     IndexSpan,
     OccupancyTable,
@@ -25,6 +28,8 @@ from timegrain import (
     summarize_cells,
     write_summaries,
 )
+from timegrain.cyclic import label_list
+from timegrain.distill import GEOMETRIES, PlotSpec
 from timegrain.table import GranularTable
 
 
@@ -42,6 +47,48 @@ def synthetic_table(gregorian, n_days=56, seed=3, customers=1):
         keys=keys,
         measurements={"kwh": vals},
     )
+
+
+def bits(v):
+    return None if v is None else struct.pack("<d", v)
+
+
+@st.composite
+def cell_tables(draw):
+    """A small table with its own cyclic columns: ties, signed zeros, NaNs, empty cells."""
+    x_levels, f_levels = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = draw(st.integers(0, 160))
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6)) + [0.0, -0.0, math.nan]
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    xs = draw(st.lists(st.integers(0, x_levels - 1), min_size=n, max_size=n))
+    fs = draw(st.lists(st.integers(0, f_levels - 1), min_size=n, max_size=n))
+    x = CyclicDescriptor("x", "circular", x_levels, labels=draw(st.sampled_from([None, 1])))
+    facet = CyclicDescriptor("f", "circular", f_levels, labels=("lo", "mid", "hi")[:f_levels])
+    values = np.array(values, dtype=np.float64)
+    xs, fs = np.array(xs, dtype=np.int64), np.array(fs, dtype=np.int64)
+    t = GranularTable(
+        index=np.arange(n, dtype=np.int64), timestamps=tuple(map(str, range(n))),
+        timestamp_column="z", measurements={"v": values},
+        cyclic={"x": (x, xs), "f": (facet, fs)},
+    )
+    return t, x, facet, values, xs, fs
+
+
+def per_cell_reference(values, xs, fs, x_levels, f_levels, probs, letter_values):
+    """(n, mean, min, max, quantiles, values) of each cell from its own sort and ``np.quantile``."""
+    out = []
+    for f in range(f_levels):
+        for xv in range(x_levels):
+            data = values[(fs == f) & (xs == xv) & ~np.isnan(values)]
+            cell = np.sort(data + 0.0)  # -0.0 counts as 0.0
+            if not len(cell):
+                out.append((0, None, None, None, (), data))
+                continue
+            grid = letter_value_probabilities(len(cell)) if letter_values else probs
+            quantiles = tuple(zip(grid, np.quantile(cell, grid).tolist()))
+            out.append((len(cell), float(cell.mean()), float(cell.min()), float(cell.max()),
+                        quantiles, data))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -144,14 +191,71 @@ class TestSummarize:
             summarize_cells(bare, x, facet, "kwh")
         assert err.value.kind == "missing-column"
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60),
-        p=st.floats(min_value=0.001, max_value=0.999),
-    )
-    def test_quantile_oracle_property(self, data, p):
-        got = float(np.quantile(np.asarray(data), p))
-        assert abs(got - quantile_oracle(data, p)) <= 1e-9 * max(1.0, abs(got))
+    @settings(max_examples=150, deadline=None)
+    @given(table=cell_tables(), letter_values=st.booleans(), probs=st.one_of(
+        st.just(DEFAULT_PROBS),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                 max_size=5, unique=True),
+    ))
+    def test_matches_per_cell_reference(self, table, letter_values, probs):
+        t, x, facet, values, xs, fs = table
+        cells = summarize_cells(t, x, facet, "v", probs=probs, letter_values=letter_values)
+        expected = per_cell_reference(values, xs, fs, x.levels, facet.levels,
+                                      tuple(sorted(probs)), letter_values)
+        assert [(c.facet_level, c.x_level) for c in cells] == [
+            (f, xv) for f in range(facet.levels) for xv in range(x.levels)
+        ]
+        assert [(c.facet_label, c.x_label) for c in cells] == [
+            (fl, xl) for fl in label_list(facet) for xl in label_list(x)
+        ]
+        for cell, (n, mean, lo, hi, quantiles, data) in zip(cells, expected):
+            assert cell.n == n
+            assert [bits(cell.mean), bits(cell.minimum), bits(cell.maximum)] == [
+                bits(mean), bits(lo), bits(hi)
+            ]
+            assert [(p, bits(q)) for p, q in cell.quantiles] == [(p, bits(q)) for p, q in quantiles]
+            for p, got in cell.quantiles:
+                assert abs(got - quantile_oracle(data, p)) <= 1e-9 * max(1.0, abs(got))
+
+    def test_single_value_cell_reads_no_neighbour(self):
+        # the quantile of a one-value cell interpolates it with itself, not with the next cell
+        x = CyclicDescriptor("x", "circular", 2)
+        facet = CyclicDescriptor("f", "circular", 1)
+        t = GranularTable(
+            index=np.arange(2, dtype=np.int64), timestamps=("0", "1"), timestamp_column="z",
+            measurements={"v": np.array([1e308, -1e308])},
+            cyclic={"x": (x, np.array([0, 1])), "f": (facet, np.array([0, 0]))},
+        )
+        cells = summarize_cells(t, x, facet, "v", probs=(0.5, 0.99))
+        assert [c.quantiles for c in cells] == [((0.5, 1e308), (0.99, 1e308)),
+                                                ((0.5, -1e308), (0.99, -1e308))]
+
+    def test_signed_zeros_do_not_depend_on_row_order(self):
+        # a 120-value cell whose middle quantiles fall among -0.0 and 0.0
+        rng = np.random.default_rng(8)
+        values = np.concatenate([-rng.random(30) - 1, np.full(30, -0.0), np.full(30, 0.0),
+                                 rng.random(30) + 1, [2.5, -0.0, 0.0]])
+        xs = np.array([0] * 120 + [1] * 3, dtype=np.int64)
+        x = CyclicDescriptor("x", "circular", 2)
+        facet = CyclicDescriptor("f", "circular", 1)
+
+        def outputs(order):
+            t = GranularTable(
+                index=np.arange(len(order), dtype=np.int64),
+                timestamps=tuple(map(str, range(len(order)))), timestamp_column="z",
+                measurements={"v": values[order]},
+                cyclic={"x": (x, xs[order]), "f": (facet, np.zeros(len(order), dtype=np.int64))},
+            )
+            cells = summarize_cells(t, x, facet, "v")
+            buf = io.StringIO()
+            write_summaries(cells, buf)
+            return buf.getvalue(), emit_plot_spec(cells, x, facet, "v", "box").to_json()
+
+        rng = np.random.default_rng(9)
+        first = outputs(np.arange(len(values)))
+        assert ",0.5,0,120\n" in first[0]
+        for _ in range(40):
+            assert outputs(rng.permutation(len(values))) == first
 
 
 class TestLetterValues:
@@ -325,6 +429,78 @@ class TestPlotSpec:
         with pytest.raises(ValidationError) as err:
             emit_plot_spec(cells, x, facet, "kwh", "sparkline")
         assert err.value.kind == "unknown-geometry"
+
+
+LABELS = st.text(max_size=6) | st.sampled_from(
+    ['say "hi"', "back\\slash", "naïve", "日曜日", "tab\there", "inf", "nan", "\x00", "\ud800"]
+)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plot_spec_documents(draw, min_cells=0):
+    """Documents shaped like ``emit_plot_spec``'s, with arbitrary labels and numbers."""
+
+    def axis():
+        levels = draw(st.integers(0, 4))
+        return {
+            "descriptor": draw(LABELS), "kind": draw(st.sampled_from(["circular", "aperiodic"])),
+            "levels": levels, "labels": draw(st.lists(LABELS, min_size=levels, max_size=levels)),
+        }
+
+    cells = []
+    for _ in range(draw(st.integers(min_cells, 5))):
+        empty = draw(st.booleans())
+        cells.append({
+            "facet_level": draw(st.integers(0, 10**12)), "facet_label": draw(LABELS),
+            "x_level": draw(st.integers(0, 10**12)), "x_label": draw(LABELS),
+            "n": 0 if empty else draw(st.integers(1, 10**12)),
+            "mean": None if empty else draw(NUMBERS),
+            "min": None if empty else draw(NUMBERS),
+            "max": None if empty else draw(NUMBERS),
+            "quantiles": [] if empty else draw(st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
+                                                        min_size=1, max_size=4)),
+        })
+    return {
+        "plot_spec_version": 1, "response": draw(LABELS),
+        "geometry": draw(st.sampled_from(GEOMETRIES)), "x": axis(), "facet": axis(),
+        "quantile_probabilities": draw(st.lists(NUMBERS, max_size=4)),
+        "warnings": draw(st.lists(LABELS, max_size=3)), "cells": cells,
+    }
+
+
+class TestPlotSpecJson:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=plot_spec_documents())
+    def test_equals_indented_json_dumps(self, doc):
+        assert PlotSpec(doc).to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=plot_spec_documents(min_cells=1), data=st.data())
+    def test_non_finite_number_raises_like_json_dumps(self, doc, data):
+        cell = data.draw(st.sampled_from(doc["cells"]))
+        bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        field = data.draw(st.sampled_from(["mean", "min", "max", "quantiles"]))
+        if field == "quantiles":
+            cell["quantiles"] = [*cell["quantiles"], [0.5, bad]]
+        else:
+            cell[field] = bad
+        with pytest.raises(ValueError) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            PlotSpec(doc).to_json()
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("letter_values", [False, True])
+    def test_emitted_spec_equals_json_dumps(self, gregorian, letter_values):
+        h = gregorian.hierarchy
+        x = pairwise_descriptor(h, "day", "month")
+        facet = pairwise_descriptor(h, "day", "week")
+        t = augment(synthetic_table(gregorian, n_days=120), [x, facet], gregorian)
+        cells = summarize_cells(t, x, facet, "kwh", letter_values=letter_values)
+        assert any(c.n == 0 for c in cells) and any(c.n for c in cells)
+        spec = emit_plot_spec(cells, x, facet, "kwh", "quantile-area", force=True)
+        assert spec.to_json() == json.dumps(spec.document, indent=2, allow_nan=False) + "\n"
 
 
 def test_summary_export_format(cells_input):

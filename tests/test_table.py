@@ -177,6 +177,36 @@ class TestIngest:
         assert t.index.tolist() == [5, 5, 1000]
         assert t.timestamps == (" 5", "+5", "1_000")
 
+    def test_index_above_int64_rejected(self, gregorian):
+        schema = IngestionSchema("over", "index", key_columns=("ball",))
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(["99999999999999999999,1"], header="over,ball"),
+                   schema, gregorian.hierarchy)
+        assert err.value.kind == "index-overflow"
+        assert err.value.message.startswith("row 2:")
+        # the largest int64 index is kept
+        t = ingest(make_csv([f"{2**63 - 1},1"], header="over,ball"), schema, gregorian.hierarchy)
+        assert t.index.tolist() == [2**63 - 1]
+
+    def test_index_overflow_row_is_named(self, gregorian, tmp_path):
+        schema = IngestionSchema("over", "index", key_columns=("ball",))
+        path = tmp_path / "overs.csv"
+        rows = [f"{i},1" for i in range(40)] + [str(2**63), "7,2"]
+        path.write_text("over,ball\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            ingest(path, schema, gregorian.hierarchy)
+        assert err.value.kind == "index-overflow"
+        assert err.value.message == f"row 42: index {2**63} exceeds {2**63 - 1}"
+
+    def test_origin_not_matching_format_rejected(self, gregorian):
+        schema = IngestionSchema("timestamp", "%Y-%m-%d %H:%M", "2012-01-01", "30m",
+                                 ("customer",), ("kwh",))
+        with pytest.raises(ValidationError) as err:
+            ingest(make_csv(["2012-01-01 00:00,c1,0.5"]), schema, gregorian.hierarchy)
+        assert err.value.kind == "bad-schema"
+        assert "origin '2012-01-01'" in err.value.message
+        assert "'%Y-%m-%d %H:%M'" in err.value.message
+
     @pytest.mark.parametrize("rows, kind, row", [
         (["2012-01-01 00:00,c1,0.5", "2012-01-01 00:30,c1,x", "2012-01-01 01:00,c1,0.5",
           "2012-01-01 01:30,c1"], "unparseable-measurement", 3),
@@ -216,6 +246,7 @@ INDEX_SPELLINGS = {
     "plain": str, "padded": lambda z: f" {z}", "signed": lambda z: f"+{z}",
     "underscored": lambda z: f"{z:_}", "negative": lambda z: f"-{z + 1}",
     "word": lambda z: "over", "arabic-indic": lambda z: "".join(chr(0x660 + int(c)) for c in str(z)),
+    "above-int64": lambda z: str(2**63 + z),
 }
 CELLS = ["0.5", "1.25", "", "nan", " 0.75", "1_000", "inf", "-inf", "1e999", "abc", " "]
 
