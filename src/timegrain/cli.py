@@ -128,8 +128,8 @@ def cmd_harmony(args) -> int:
     cfg, cal = _load_session(args)
     catalog = build_catalog(cfg, cal)
     if args.mode == "structural":
-        if not args.span:
-            raise ValidationError("bad-config", "structural mode needs --span")
+        if args.span is None or args.span <= 0:
+            raise ValidationError("bad-config", "structural mode needs a positive --span")
         data: GranularTable | IndexSpan = IndexSpan(length=args.span, start=args.start)
     else:
         data = _load_table(cfg, cal)

@@ -9,6 +9,10 @@ else is a harmony.
 Structural scans sample the span at the coarsest stride on which both
 granularities are constant, so counts mean "distinct joint granules" and
 verdicts do not depend on how fine the bottom granularity happens to be.
+
+Both modes count in fixed blocks of ``SCAN_BLOCK`` points, evaluating and
+tallying one block at a time, so the memory a scan needs does not grow
+with the span or the table.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .table import GranularTable, csv_writer
 DEFAULT_NEAR_THRESHOLD = 0.05
 DEFAULT_NEAR_FLOOR = 2
 DEFAULT_MAX_LEVELS = 31
+SCAN_BLOCK = 1 << 16  # points evaluated and counted at a time by cross_tab
 
 
 @dataclass(frozen=True)
@@ -94,16 +99,23 @@ def cross_tab(
                     f"span of {data.length} covers less than one common period ({common}) "
                     f"of {ci.name} and {cj.name}",
                 )
-        n = (data.length + stride - 1) // stride
-        zs = data.start + stride * np.arange(n, dtype=np.int64)
+        n = max(0, (data.length + stride - 1) // stride)
+
+        def points(k: int, m: int) -> np.ndarray:
+            return data.start + stride * np.arange(k, m, dtype=np.int64)
     else:
         mode = "observed"
-        zs = data.index
-    vi = evaluate(cal.hierarchy, ci, zs, cal.events)
-    vj = evaluate(cal.hierarchy, cj, zs, cal.events)
-    counts = np.bincount(vi * cj.levels + vj, minlength=ci.levels * cj.levels)
-    counts = counts.reshape(ci.levels, cj.levels)
-    return OccupancyTable(ci, cj, counts, mode, int(len(zs)))
+        n = len(data.index)
+
+        def points(k: int, m: int) -> np.ndarray:
+            return data.index[k:m]
+    counts = np.zeros(ci.levels * cj.levels, dtype=np.int64)
+    for k in range(0, n, SCAN_BLOCK):
+        zs = points(k, min(k + SCAN_BLOCK, n))
+        vi = evaluate(cal.hierarchy, ci, zs, cal.events)
+        vj = evaluate(cal.hierarchy, cj, zs, cal.events)
+        counts += np.bincount(vi * cj.levels + vj, minlength=counts.size)
+    return OccupancyTable(ci, cj, counts.reshape(ci.levels, cj.levels), mode, n)
 
 
 def _verdict(counts: np.ndarray, near_threshold: float, near_floor: int) -> tuple[str, float]:

@@ -15,7 +15,13 @@ as hour/day/week/month can hold both origin-aligned weeks (for
 day-of-week) and true calendar months (for day-of-month) at once.
 
 Each rung has a granule locator that maps an index to its granule and a
-granule to its first index. The relativity checks between rungs
+granule to its first index. An irregular locator whose table cycle spans
+at most ``DENSE_CYCLE_CAP`` anchor granules (146,097 days for the exact
+Gregorian months) holds a dense table of the granule of every anchor
+granule in the cycle, so locating an index is one gather; above the cap
+it keeps only the prefix sums and locates by binary search, so memory
+stays bounded on long coprime tables. The ladder alone decides which.
+The relativity checks between rungs
 (finer-than, groups-into and periodical, after Bettini et al., *Time
 Granularities in Databases, Data Mining, and Temporal Reasoning*, 2000)
 are computed from these locators over a finite span.
@@ -124,6 +130,10 @@ class Hierarchy:
         return tuple(reps)
 
 
+# largest table cycle, in anchor granules, given a dense granule table (at most 4 MB)
+DENSE_CYCLE_CAP = 1 << 20
+
+
 class _Regular:
     """Granules are fixed blocks of ``block`` bottom units."""
 
@@ -144,9 +154,17 @@ class _Regular:
 
 
 class _Irregular:
-    """Granules sized by a repeating cardinality table over anchor granules."""
+    """Granules sized by a repeating cardinality table over anchor granules.
 
-    __slots__ = ("anchor", "prefix", "cycle", "repetition", "period")
+    ``prefix`` holds the first anchor granule of each granule in the
+    cycle. When the cycle is at most ``DENSE_CYCLE_CAP`` anchor granules,
+    ``dense`` maps each anchor granule of the cycle to its granule
+    (``np.repeat(np.arange(repetition), cards)`` in the narrowest
+    unsigned type) and ``idx`` gathers from it; otherwise ``dense`` is
+    None and ``idx`` binary-searches ``prefix``.
+    """
+
+    __slots__ = ("anchor", "prefix", "cycle", "repetition", "period", "dense")
 
     def __init__(self, anchor, cardinalities):
         self.anchor = anchor
@@ -156,11 +174,17 @@ class _Irregular:
         self.repetition = len(cards)
         # sizes in bottom units repeat once the anchor's own sizes are back in phase
         self.period = self.repetition * (anchor.period // gcd(self.cycle, anchor.period))
+        self.dense = None
+        if self.cycle <= DENSE_CYCLE_CAP:
+            granules = np.arange(self.repetition, dtype=np.min_scalar_type(self.repetition - 1))
+            self.dense = np.repeat(granules, cards)
 
     def idx(self, z):
-        a = self.anchor.idx(z)
-        cyc, within = np.divmod(a, self.cycle)
-        j = np.searchsorted(self.prefix, within, side="right") - 1
+        cyc, within = np.divmod(np.asarray(self.anchor.idx(z), dtype=np.int64), self.cycle)
+        if self.dense is None:
+            j = np.searchsorted(self.prefix, within, side="right") - 1
+        else:
+            j = self.dense[within]
         return cyc * self.repetition + j
 
     def start(self, i):

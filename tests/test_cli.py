@@ -174,6 +174,15 @@ FAULTS = {
         3,
         "bad-schema exit=3: origin '2012-01-01' does not match timestamp_format '%Y-%m-%d %H:%M'",
     ),
+    **{
+        f"span-{span}": (
+            {},
+            ["harmony", "--mode", "structural", "--span", span],
+            3,
+            "bad-config exit=3: structural mode needs a positive --span",
+        )
+        for span in ("0", "-4800")
+    },
 }
 
 

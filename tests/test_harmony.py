@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 from oracles import pair_verdict_oracle
 from timegrain import (
     ComputationError,
+    GranularTable,
     HarmonyRow,
     IndexSpan,
     OccupancyTable,
     classify_pair,
     cross_tab,
     derive_descriptor,
+    evaluate,
     harmony_table,
     pairwise_descriptor,
     write_harmony_table,
 )
+from timegrain.harmony import SCAN_BLOCK
 
 YEAR_2013 = IndexSpan(start=366 * 48, length=365 * 48)
 
@@ -70,10 +74,51 @@ class TestCrossTab:
             cross_tab(IndexSpan(length=100), ds["hour_day"], ds["day_week"], gregorian)
         assert err.value.kind == "insufficient-span"
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        pair=st.sampled_from(
+            [(1, "halfhour_hour", "day_month"), (2, "hour_day", "week_month"),
+             (48, "day_week", "month_year")]
+        ),
+        n=st.integers(2 * SCAN_BLOCK + 1, 4 * SCAN_BLOCK),
+        start=st.integers(1, 500 * 365 * 48),
+        short=st.integers(0, 47),
+    )
+    def test_blocked_scans_agree(self, gregorian, pair, n, start, short):
+        stride, a, b = pair
+        h = gregorian.hierarchy
+        ci, cj = pairwise_descriptor(h, *a.split("_")), pairwise_descriptor(h, *b.split("_"))
+        # n points at the stride; a span ending up to stride - 1 units early keeps all n
+        span = IndexSpan(length=n * stride - short % stride, start=start)
+        zs = start + stride * np.arange(n, dtype=np.int64)
+        table = GranularTable(index=zs, timestamps=("",) * n, timestamp_column="t")
+        structural = cross_tab(span, ci, cj, gregorian)
+        observed = cross_tab(table, ci, cj, gregorian)
+        once = np.bincount(
+            evaluate(h, ci, zs) * cj.levels + evaluate(h, cj, zs), minlength=ci.levels * cj.levels
+        )
+        assert structural.total == observed.total == n
+        assert (structural.counts == observed.counts).all()
+        assert (structural.counts == once.reshape(ci.levels, cj.levels)).all()
+
     def test_structural_determinism(self, gregorian, ds):
         a = cross_tab(YEAR_2013, ds["day_week"], ds["month_year"], gregorian)
         b = cross_tab(YEAR_2013, ds["day_week"], ds["month_year"], gregorian)
         assert (a.counts == b.counts).all()
+
+
+def test_structural_scan_memory_is_bounded(gregorian):
+    # 2012-01-01 to 2101-01-01 at stride 1: 1,560,336 points, 12 MB per int64 column
+    h = gregorian.hierarchy
+    ci, cj = pairwise_descriptor(h, "halfhour", "hour"), pairwise_descriptor(h, "day", "month")
+    tracemalloc.start()
+    try:
+        occ = cross_tab(IndexSpan(length=32_507 * 48), ci, cj, gregorian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert occ.total == 1_560_336
+    assert peak < 16 * 2**20
 
 
 class TestClassify:

@@ -1,6 +1,6 @@
 import time
 from collections import Counter
-from math import lcm, prod
+from math import gcd
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from timegrain import (
     period_length,
     validate_hierarchy,
 )
+from timegrain import hierarchy
 from timegrain.fixtures import gregorian_calendar
 
 
@@ -226,12 +227,33 @@ class TestIsPeriodical:
 
 @st.composite
 def proper_ladders(draw):
-    """Rules of a ladder: constant bottom, one irregular rung, one or two constant rungs."""
-    return [
+    """Rules of a ladder: constant bottom and one irregular rung, then either one or
+    two constant rungs, or a second, nested irregular rung with constant rungs around it.
+    """
+    rules = [
         draw(st.integers(2, 5)),
         tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))),
-        *draw(st.lists(st.integers(2, 13), min_size=1, max_size=2)),
     ]
+    if draw(st.booleans()):
+        return [*rules, *draw(st.lists(st.integers(2, 13), min_size=1, max_size=2))]
+    return [
+        *rules,
+        *draw(st.lists(st.integers(2, 3), max_size=1)),
+        tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
+        draw(st.integers(2, 3)),
+    ]
+
+
+def sizes_cycle(rules) -> int:
+    """Bottom units after which the granule sizes of every rung repeat."""
+    granules, units = 1, 1  # granules of the current rung per repeat, and their bottom units
+    for rule in rules:
+        size, count = (rule, 1) if isinstance(rule, int) else (sum(rule), len(rule))
+        # whole groups (or tables) of the rule that bring the current rung back in phase
+        m = granules // gcd(granules, size)
+        units = units * m * size // granules
+        granules = m * count
+    return units
 
 
 def build_ladder(rules) -> Hierarchy:
@@ -253,20 +275,29 @@ class TestAgainstTickingOracle:
     @settings(max_examples=60, deadline=None)
     @given(rules=proper_ladders(), span=st.integers(1, 3000))
     def test_locators_levels_and_relativities(self, rules, span):
-        h = build_ladder(rules)
-        names = h.rung_names
-        bottom, cards, *periods = rules
         # one full cycle of the top rung's sizes, so every rung repeats within it
-        cycle = bottom * sum(cards) * lcm(len(cards), prod(periods)) // len(cards)
-        starts = dict(zip(names, ladder_boundaries(rules, max(cycle, span))))
+        starts = ladder_boundaries(rules, max(sizes_cycle(rules), span))
+        # once with dense granule tables, once with binary search over the prefix sums
+        for cap in (hierarchy.DENSE_CYCLE_CAP, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hierarchy, "DENSE_CYCLE_CAP", cap)
+                h = build_ladder(rules)
+            irregular = [rep for rep in h._reps if isinstance(rep, hierarchy._Irregular)]
+            assert all((rep.dense is None) == (cap == 0) for rep in irregular)
+            self.check_ladder(h, dict(zip(h.rung_names, starts)), span)
+
+    @staticmethod
+    def check_ladder(h, starts, span):
         for name, b in starts.items():
             assert granule_start(h, name, np.arange(len(b))).tolist() == b
             granule_of = np.repeat(np.arange(len(b) - 1), np.diff(b))
-            assert (linear_granule(h, np.arange(b[-1]), name) == granule_of).all()
+            located = linear_granule(h, np.arange(b[-1]), name)
+            assert located.dtype == np.int64
+            assert (located == granule_of).all()
         for d in enumerate_cyclic(h):
             assert d.levels == largest_count(starts[d.lower], starts[d.upper]), d.name
-        for fine in names:
-            for coarse in names:
+        for fine in h.rung_names:
+            for coarse in h.rung_names:
                 f, c = starts[fine], starts[coarse]
                 assert finer_than(h, fine, coarse, span) == finer_than_oracle(f, c, span)
                 assert groups_into(h, fine, coarse, span) == groups_into_oracle(f, c, span)
@@ -292,6 +323,21 @@ def test_coprime_ladder_validates_quickly():
     t0 = time.perf_counter()
     build_ladder([2, cards, 9967])
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_dense_tables_stop_at_the_cap(gregorian):
+    # Gregorian months and years cycle over 146,097 days: one gather per index
+    for rung in ("month", "year"):
+        dense = gregorian.hierarchy._reps[gregorian.hierarchy.position(rung)].dense
+        assert dense.shape == (146_097,) and dense.itemsize == 2
+    # 9,967 of the 9,973 table's granules make a group: far above the cap
+    h = build_ladder([2, tuple(1 + i % 9 for i in range(9973)), 9967])
+    month, year = h._reps[2:]
+    assert month.cycle <= hierarchy.DENSE_CYCLE_CAP < year.cycle
+    assert month.dense is not None and year.dense is None
+    # the searched year and the gathered month agree across several year cycles
+    z = np.random.default_rng(0).integers(0, 6 * year.cycle, 10_000)
+    assert (year.idx(z) == month.idx(z) // 9967).all()
 
 
 def test_days_in_month_oracle_against_fixture_table(gregorian_days):
