@@ -57,8 +57,6 @@ from .hierarchy import (
     is_periodical,
     linear_granule,
     period_length,
-    validate_event_calendar,
-    validate_hierarchy,
 )
 from .table import (
     GranularTable,

@@ -46,13 +46,11 @@ from .hierarchy import (
     Hierarchy,
     IrregularMapping,
     Rung,
-    validate_event_calendar,
-    validate_hierarchy,
 )
 
 @dataclass(frozen=True)
 class Calendar:
-    """A validated hierarchy plus any aperiodic event calendars."""
+    """A hierarchy plus any aperiodic event calendars, both checked when built."""
 
     hierarchy: Hierarchy
     events: dict[str, AperiodicEventCalendar] = field(default_factory=dict)
@@ -99,8 +97,7 @@ def parse_calendar(text: str, source: str = "<string>") -> Calendar:
         elif kind == "labels":
             labels[arg] = _parse_labels(section, body, source)
         elif kind == "events":
-            cal = _parse_events(arg, body)
-            events[arg] = validate_event_calendar(cal)
+            events[arg] = _parse_events(arg, body)
         else:
             raise ValidationError(
                 "bad-calendar-file", f"{source}: unknown section [{section}]"
@@ -113,7 +110,6 @@ def parse_calendar(text: str, source: str = "<string>") -> Calendar:
         origin_note=meta.get("origin_note", ""),
         labels=labels,
     )
-    validate_hierarchy(hierarchy)
     declared_bottom = meta.get("bottom")
     if declared_bottom and declared_bottom != hierarchy.bottom:
         raise ValidationError(

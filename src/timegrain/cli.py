@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .calfile import Calendar, load_calendar
 from .config import SessionConfig, build_catalog, load_config
+from .cyclic import CyclicDescriptor
 from .distill import (
     GEOMETRIES,
     emit_plot_spec,
@@ -51,12 +52,19 @@ def _out_dir(args, cfg: SessionConfig | None) -> Path:
     return Path(".")
 
 
-def _load_session(args) -> tuple[SessionConfig, Calendar]:
+def _output_path(args, cfg: SessionConfig, default: str) -> Path:
+    """``--out``, else ``default`` in the output directory; makes its parent."""
+    out = Path(args.out) if args.out else _out_dir(args, cfg) / default
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _load_session(args) -> tuple[SessionConfig, Calendar, dict[str, CyclicDescriptor]]:
     if not getattr(args, "config", None):
         raise ValidationError("bad-config", "this command needs --config")
     cfg = load_config(args.config)
     cal = load_calendar(cfg.calendar_path())
-    return cfg, cal
+    return cfg, cal, build_catalog(cfg, cal)
 
 
 def _load_table(cfg: SessionConfig, cal: Calendar) -> GranularTable:
@@ -94,8 +102,7 @@ def cmd_calendar_validate(args) -> int:
 
 
 def cmd_granularity_list(args) -> int:
-    cfg, cal = _load_session(args)
-    catalog = build_catalog(cfg, cal)
+    _, _, catalog = _load_session(args)
     buffer = io.StringIO()
     with csv_writer(buffer, args.delimiter) as writer:
         writer.writerow(["name", "kind", "levels", "lower", "upper"])
@@ -113,20 +120,17 @@ def cmd_granularity_list(args) -> int:
 
 
 def cmd_granularity_compute(args) -> int:
-    cfg, cal = _load_session(args)
-    catalog = build_catalog(cfg, cal)
+    cfg, cal, catalog = _load_session(args)
     descriptors = [_resolve(catalog, n) for n in args.names]
     table = augment(_load_table(cfg, cal), descriptors, cal)
-    out = Path(args.out) if args.out else _out_dir(args, cfg) / "computed.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args, cfg, "computed.csv")
     export_table(table, out, delimiter=args.delimiter)
     print(f"wrote {out} ({len(table)} rows, {len(descriptors)} cyclic columns)")
     return 0
 
 
 def cmd_harmony(args) -> int:
-    cfg, cal = _load_session(args)
-    catalog = build_catalog(cfg, cal)
+    cfg, cal, catalog = _load_session(args)
     if args.mode == "structural":
         if args.span is None or args.span <= 0:
             raise ValidationError("bad-config", "structural mode needs a positive --span")
@@ -142,31 +146,27 @@ def cmd_harmony(args) -> int:
         near_floor=cfg.near_floor,
         keep_near_clashes=args.keep_near_clashes,
     )
-    out = Path(args.out) if args.out else _out_dir(args, cfg) / "harmony.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args, cfg, "harmony.csv")
     write_harmony_table(rows, out, delimiter=args.delimiter)
     print(f"wrote {out} ({len(rows)} harmony pairs)")
     return 0
 
 
 def cmd_summarize(args) -> int:
-    cfg, cal = _load_session(args)
-    catalog = build_catalog(cfg, cal)
+    cfg, cal, catalog = _load_session(args)
     x, facet = _resolve(catalog, args.x), _resolve(catalog, args.facet)
     table = augment(_load_table(cfg, cal), [x, facet], cal)
     summaries = summarize_cells(
         table, x, facet, args.response, probs=cfg.probs, letter_values=args.letter_values
     )
-    out = Path(args.out) if args.out else _out_dir(args, cfg) / "summary.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args, cfg, "summary.csv")
     write_summaries(summaries, out, delimiter=args.delimiter)
     print(f"wrote {out} ({sum(1 for s in summaries if s.n > 0)} occupied cells)")
     return 0
 
 
 def cmd_plot_spec(args) -> int:
-    cfg, cal = _load_session(args)
-    catalog = build_catalog(cfg, cal)
+    cfg, cal, catalog = _load_session(args)
     x, facet = _resolve(catalog, args.x), _resolve(catalog, args.facet)
     table = augment(_load_table(cfg, cal), [x, facet], cal)
     classification = classify_pair(
@@ -183,8 +183,7 @@ def cmd_plot_spec(args) -> int:
         summaries, x, facet, args.response, args.geometry,
         force=args.force, warnings=warnings,
     )
-    out = Path(args.out) if args.out else _out_dir(args, cfg) / "plot_spec.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_path(args, cfg, "plot_spec.json")
     out.write_text(spec.to_json(), encoding="utf-8")
     print(f"wrote {out}")
     return 0

@@ -2,11 +2,10 @@
 
 The Gregorian ladders are generated from the standard leap rule at
 construction time rather than shipping centuries of cardinalities; the
-default 400-year month table is the exact Gregorian cycle (4,800 months,
-146,097 days, exactly 20,871 weeks), so it repeats without drift. The
-smart-meter dataset carries injected daily and weekly structure plus
-skewed noise; the cricket dataset carries a mild late-innings scoring
-drift.
+month table is the exact 400-year Gregorian cycle, so it repeats without
+drift. The smart-meter dataset carries injected daily and weekly
+structure plus skewed noise; the cricket dataset carries a mild
+late-innings scoring drift.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .calfile import Calendar, save_calendar
+from .errors import ValidationError
 from .hierarchy import (
     AperiodicEventCalendar,
     ConstantPeriod,
@@ -51,55 +51,35 @@ def _weekday_labels(origin_year: int) -> tuple[str, ...]:
     return tuple(WEEKDAY_NAMES[(first + i) % 7] for i in range(7))
 
 
-def gregorian_calendar(
-    bottom: str = "halfhour", origin_year: int = 2012, years: int = 400
-) -> Calendar:
+def gregorian_calendar(bottom: str = "halfhour", origin_year: int = 2012) -> Calendar:
     """Gregorian ladder anchored at January 1 of ``origin_year``.
 
-    The month table covers ``years`` years and then repeats. The default
-    400 years is the exact Gregorian cycle; a shorter table drifts at the
-    first century year it gets wrong (28 years from 2012 make 2100 leap).
+    The month table covers the exact 400-year Gregorian cycle and then
+    repeats, so the ladder never drifts from the calendar.
 
-    With a sub-day bottom the ladder carries a 7-day week rung; its
-    irregular rule to month is anchored on days, since weeks slide
-    across month boundaries. The ``hour`` and ``day`` bottoms yield the
-    plain chain (day nests straight into month) used by the order-up
-    algebra.
+    With a sub-day bottom (``halfhour`` or ``minute``) the ladder carries
+    a 7-day week rung; its irregular rule to month is anchored on days,
+    since weeks slide across month boundaries. The ``hour`` and ``day``
+    bottoms yield the plain chain (day nests straight into month) used by
+    the order-up algebra.
     """
-    months = month_lengths(origin_year, years)
-    if bottom == "halfhour":
-        rungs = [
-            Rung("halfhour", ConstantPeriod(2)),
+    months = month_lengths(origin_year, 400)  # 4,800 months, 146,097 days, 20,871 weeks
+    if bottom in ("halfhour", "minute"):
+        head = [
+            Rung(bottom, ConstantPeriod(2 if bottom == "halfhour" else 60)),
             Rung("hour", ConstantPeriod(24)),
             Rung("day", ConstantPeriod(7)),
             Rung("week", IrregularMapping(months, unit="day")),
-            Rung("month", ConstantPeriod(12)),
-            Rung("year", ConstantPeriod(1)),
-        ]
-    elif bottom == "minute":
-        rungs = [
-            Rung("minute", ConstantPeriod(60)),
-            Rung("hour", ConstantPeriod(24)),
-            Rung("day", ConstantPeriod(7)),
-            Rung("week", IrregularMapping(months, unit="day")),
-            Rung("month", ConstantPeriod(12)),
-            Rung("year", ConstantPeriod(1)),
         ]
     elif bottom == "hour":
-        rungs = [
-            Rung("hour", ConstantPeriod(24)),
-            Rung("day", IrregularMapping(months)),
-            Rung("month", ConstantPeriod(12)),
-            Rung("year", ConstantPeriod(1)),
-        ]
+        head = [Rung("hour", ConstantPeriod(24)), Rung("day", IrregularMapping(months))]
     elif bottom == "day":
-        rungs = [
-            Rung("day", IrregularMapping(months)),
-            Rung("month", ConstantPeriod(12)),
-            Rung("year", ConstantPeriod(1)),
-        ]
+        head = [Rung("day", IrregularMapping(months))]
     else:
-        raise ValueError(f"unsupported bottom {bottom!r}")
+        raise ValidationError(
+            "unknown-bottom", f"unsupported bottom {bottom!r}; use halfhour, minute, hour or day"
+        )
+    rungs = (*head, Rung("month", ConstantPeriod(12)), Rung("year", ConstantPeriod(1)))
     labels: dict[str, object] = {
         "month_year": MONTH_NAMES,
         "day_month": 1,
@@ -112,11 +92,11 @@ def gregorian_calendar(
     return Calendar(
         Hierarchy(
             name="gregorian",
-            rungs=tuple(rungs),
+            rungs=rungs,
             origin=f"{origin_year}-01-01 00:00",
             origin_note=(
                 f"midnight, {origin_weekday} 1 January {origin_year}; month table "
-                f"covers {years} years and repeats (400 is the exact Gregorian cycle)"
+                "covers 400 years and repeats (400 is the exact Gregorian cycle)"
             ),
             labels=labels,
         )

@@ -36,10 +36,14 @@ SCAN_BLOCK = 1 << 16  # points evaluated and counted at a time by cross_tab
 
 @dataclass(frozen=True)
 class IndexSpan:
-    """Half-open synthetic index range [start, start + length)."""
+    """Half-open synthetic index range [start, start + length); never empty."""
 
     length: int
     start: int = 0
+
+    def __post_init__(self) -> None:
+        if self.length <= 0:
+            raise ComputationError("empty-span", "span must cover at least one bottom granule")
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,11 @@ def cross_tab(
     cj: CyclicDescriptor,
     cal: Calendar,
 ) -> OccupancyTable:
-    """K x L occupancy of the pair over table rows or a synthetic span."""
+    """K x L occupancy of the pair over table rows or a synthetic span.
+
+    A span samples at least one point: ``IndexSpan`` rejects empty spans
+    with ``empty-span`` when it is built.
+    """
     if isinstance(data, IndexSpan):
         mode = "structural"
         stride = gcd(_anchor(cal, ci), _anchor(cal, cj))
@@ -99,7 +107,7 @@ def cross_tab(
                     f"span of {data.length} covers less than one common period ({common}) "
                     f"of {ci.name} and {cj.name}",
                 )
-        n = max(0, (data.length + stride - 1) // stride)
+        n = (data.length + stride - 1) // stride
 
         def points(k: int, m: int) -> np.ndarray:
             return data.start + stride * np.arange(k, m, dtype=np.int64)

@@ -30,7 +30,6 @@ are computed from these locators over a finite span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, prod
 from typing import Union
 
@@ -78,6 +77,9 @@ class Rung:
 class Hierarchy:
     """Ordered ladder of rungs, bottom first; top rung carries period 1.
 
+    Construction checks the ladder and builds its granule locators, so an
+    ill-formed ladder raises ``ValidationError`` and never exists.
+
     ``labels`` maps cyclic granularity names (e.g. ``day_week``) to either
     an explicit label tuple or an integer presentation offset.
     """
@@ -111,9 +113,38 @@ class Hierarchy:
         """Finest constant block (in bottom units) on which ``rung``'s granule index is constant."""
         return _anchor_block(self._reps[self.position(rung)])
 
-    @cached_property
-    def _reps(self) -> tuple["_Rep", ...]:
-        """Per-rung granule locators, built bottom-up along the ladder."""
+    def __post_init__(self) -> None:
+        """Check ladder well-formedness, then build the granule locators."""
+        if len(self.rungs) < 2:
+            raise ValidationError("empty-hierarchy", f"hierarchy {self.name!r} needs at least 2 rungs")
+        seen: set[str] = set()
+        for rung in self.rungs:
+            if rung.name in seen:
+                raise ValidationError("duplicate-rung", f"rung {rung.name!r} declared twice")
+            seen.add(rung.name)
+        top = self.rungs[-1]
+        if not (isinstance(top.rule, ConstantPeriod) and top.rule.period == 1):
+            raise ValidationError(
+                "bad-sentinel", f"top rung {top.name!r} must carry the sentinel period 1"
+            )
+        for rung in self.rungs[:-1]:
+            rule = rung.rule
+            if isinstance(rule, ConstantPeriod):
+                if rule.period < 2:
+                    raise ValidationError(
+                        "bad-period",
+                        f"rung {rung.name!r} has period {rule.period}; non-top rungs need a period of 2 or more",
+                    )
+            else:
+                if not rule.cardinalities:
+                    raise ValidationError("bad-cardinality", f"rung {rung.name!r} has an empty cardinality table")
+                if min(rule.cardinalities) < 1:
+                    raise ValidationError(
+                        "bad-cardinality", f"rung {rung.name!r} has a non-positive cardinality"
+                    )
+                if rule.unit is not None and rule.unit not in seen:
+                    raise ValidationError("bad-unit", f"rung {rung.name!r} references unknown unit {rule.unit!r}")
+        # per-rung granule locators, built bottom-up along the ladder
         reps: list[_Rep] = [_Regular(1)]
         for pos, rung in enumerate(self.rungs[:-1]):
             rule = rung.rule
@@ -127,7 +158,7 @@ class Hierarchy:
                         "bad-unit", f"unit {unit!r} is above the rung {rung.name!r} carrying the rule"
                     )
                 reps.append(_Irregular(reps[upos], rule.cardinalities))
-        return tuple(reps)
+        object.__setattr__(self, "_reps", tuple(reps))
 
 
 # largest table cycle, in anchor granules, given a dense granule table (at most 4 MB)
@@ -209,41 +240,6 @@ def _anchor_block(rep: _Rep) -> int:
     while isinstance(rep, _Irregular):
         rep = rep.anchor
     return rep.block
-
-
-def validate_hierarchy(h: Hierarchy) -> Hierarchy:
-    """Check ladder well-formedness; return ``h`` unchanged if sound."""
-    if len(h.rungs) < 2:
-        raise ValidationError("empty-hierarchy", f"hierarchy {h.name!r} needs at least 2 rungs")
-    seen: set[str] = set()
-    for rung in h.rungs:
-        if rung.name in seen:
-            raise ValidationError("duplicate-rung", f"rung {rung.name!r} declared twice")
-        seen.add(rung.name)
-    top = h.rungs[-1]
-    if not (isinstance(top.rule, ConstantPeriod) and top.rule.period == 1):
-        raise ValidationError(
-            "bad-sentinel", f"top rung {top.name!r} must carry the sentinel period 1"
-        )
-    for rung in h.rungs[:-1]:
-        rule = rung.rule
-        if isinstance(rule, ConstantPeriod):
-            if rule.period < 2:
-                raise ValidationError(
-                    "bad-period",
-                    f"rung {rung.name!r} has period {rule.period}; non-top rungs need a period of 2 or more",
-                )
-        else:
-            if not rule.cardinalities:
-                raise ValidationError("bad-cardinality", f"rung {rung.name!r} has an empty cardinality table")
-            if min(rule.cardinalities) < 1:
-                raise ValidationError(
-                    "bad-cardinality", f"rung {rung.name!r} has a non-positive cardinality"
-                )
-            if rule.unit is not None and rule.unit not in {r.name for r in h.rungs}:
-                raise ValidationError("bad-unit", f"rung {rung.name!r} references unknown unit {rule.unit!r}")
-    h._reps  # force locator construction; raises on inconsistent units
-    return h
 
 
 def period_length(h: Hierarchy, lower: str, upper: str) -> int:
@@ -338,21 +334,41 @@ class AperiodicEventCalendar:
     """Recurring but non-periodic categorization of the bottom index.
 
     Category 0 is implicit and means "none of the events". Intervals are
-    half-open over the bottom granularity and pairwise disjoint.
+    half-open over the bottom granularity and pairwise disjoint;
+    construction raises ``ValidationError`` otherwise.
     """
 
     name: str
     categories: tuple[EventCategory, ...]
 
-    @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        triples = sorted(
-            (s, e, c.index) for c in self.categories for s, e in c.intervals
-        )
-        starts = np.asarray([t[0] for t in triples], dtype=np.int64)
-        ends = np.asarray([t[1] for t in triples], dtype=np.int64)
-        cats = np.asarray([t[2] for t in triples], dtype=np.int64)
-        return starts, ends, cats
+    def __post_init__(self) -> None:
+        """Check interval sanity and pairwise disjointness, then build the lookup."""
+        for cat in self.categories:
+            if cat.index < 1:
+                raise ValidationError(
+                    "bad-category", f"category index {cat.index} in {self.name!r}; 0 is reserved for none"
+                )
+            for s, e in cat.intervals:
+                if s < 0 or e <= s:
+                    raise ValidationError(
+                        "bad-interval", f"interval [{s}, {e}) in {self.name!r} is not a half-open range"
+                    )
+        triples = sorted((s, e, c.index) for c in self.categories for s, e in c.intervals)
+        for (_, e1, _), (s2, _, _) in zip(triples, triples[1:]):
+            if s2 < e1:
+                raise ValidationError(
+                    "overlapping-intervals", f"intervals overlap at index {s2} in {self.name!r}"
+                )
+        # starts, ends and categories in start order, after an empty interval
+        # that starts before every index, so each index has a preceding interval
+        first = np.iinfo(np.int64).min
+        try:
+            lookup = np.array([(first, first, 0), *triples], dtype=np.int64).T.copy()
+        except OverflowError:
+            raise ValidationError(
+                "index-overflow", f"an interval or category index in {self.name!r} exceeds {2**63 - 1}"
+            ) from None
+        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def n_levels(self) -> int:
@@ -363,31 +379,5 @@ class AperiodicEventCalendar:
         starts, ends, cats = self._lookup
         zz = np.asarray(z, dtype=np.int64)
         pos = np.searchsorted(starts, zz, side="right") - 1
-        valid = pos >= 0
-        pos_c = np.clip(pos, 0, None)
-        hit = valid & (zz < ends[pos_c])
-        out = np.where(hit, cats[pos_c], 0)
+        out = np.where(zz < ends[pos], cats[pos], 0)
         return int(out) if np.isscalar(z) or isinstance(z, int) else out
-
-
-def validate_event_calendar(cal: AperiodicEventCalendar) -> AperiodicEventCalendar:
-    """Check interval sanity and pairwise disjointness across categories."""
-    all_intervals = []
-    for cat in cal.categories:
-        if cat.index < 1:
-            raise ValidationError(
-                "bad-category", f"category index {cat.index} in {cal.name!r}; 0 is reserved for none"
-            )
-        for s, e in cat.intervals:
-            if s < 0 or e <= s:
-                raise ValidationError(
-                    "bad-interval", f"interval [{s}, {e}) in {cal.name!r} is not a half-open range"
-                )
-            all_intervals.append((s, e))
-    all_intervals.sort()
-    for (s1, e1), (s2, _) in zip(all_intervals, all_intervals[1:]):
-        if s2 < e1:
-            raise ValidationError(
-                "overlapping-intervals", f"intervals overlap at index {s2} in {cal.name!r}"
-            )
-    return cal

@@ -25,19 +25,19 @@ def gregorian():
 
 @pytest.fixture(scope="session")
 def gregorian_hours():
-    """Proper chain hour/day/month/year over 2012-2015 for the order-up algebra."""
-    return gregorian_calendar(bottom="hour", years=4)
+    """Proper chain hour/day/month/year from 2012 for the order-up algebra."""
+    return gregorian_calendar(bottom="hour")
 
 
 @pytest.fixture(scope="session")
 def gregorian_days():
-    return gregorian_calendar(bottom="day", years=28)
+    return gregorian_calendar(bottom="day")
 
 
 @pytest.fixture(scope="session")
 def gregorian_2013_days():
     """Day-bottom ladder anchored at the non-leap year 2013."""
-    return gregorian_calendar(bottom="day", origin_year=2013, years=28)
+    return gregorian_calendar(bottom="day", origin_year=2013)
 
 
 @pytest.fixture(scope="session")

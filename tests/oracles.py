@@ -52,33 +52,46 @@ def gregorian_pair_value(c: dict[str, int], origin_year: int, lower: str, upper:
     return table[(lower, upper)]
 
 
-MAYAN_RUNGS = ("kin", "uinal", "tun", "katun", "baktun")
-MAYAN_BASES = {"kin": 20, "uinal": 18, "tun": 20, "katun": 20}
+def positional_counters(bases: list[int], n: int) -> list[list[int]]:
+    """Tick one counter per non-top rung of a constant ladder, one index at a time.
 
-
-def mayan_counters(n_kin: int) -> list[dict[str, int]]:
-    """Tick kin/uinal/tun/katun counters one kin at a time."""
+    ``bases[k]`` granules of rung k make one granule of rung k + 1, so
+    counter k is the position of the current rung-k granule inside its
+    rung-(k + 1) granule: it wraps to 0 at ``bases[k]`` and carries one.
+    """
     out = []
-    c = {"kin": 0, "uinal": 0, "tun": 0, "katun": 0}
-    for _ in range(n_kin):
-        out.append(dict(c))
-        c["kin"] += 1
-        for name, nxt in (("kin", "uinal"), ("uinal", "tun"), ("tun", "katun")):
-            if c[name] == MAYAN_BASES[name]:
-                c[name] = 0
-                c[nxt] += 1
+    c = [0] * len(bases)
+    for _ in range(n):
+        out.append(list(c))
+        for k, base in enumerate(bases):
+            c[k] += 1
+            if c[k] < base:
+                break
+            c[k] = 0
     return out
 
 
-def mayan_pair_value(c: dict[str, int], lower: str, upper: str) -> int:
-    """Positional value of the counters from lower (exclusive of upper)."""
-    lo, hi = MAYAN_RUNGS.index(lower), MAYAN_RUNGS.index(upper)
+def positional_value(counters: list[int], bases: list[int], lo: int, hi: int) -> int:
+    """Offset of the rung-``lo`` granule inside its rung-``hi`` granule, from the counters."""
     value, scale = 0, 1
     for r in range(lo, hi):
-        name = MAYAN_RUNGS[r]
-        value += scale * c[name]
-        scale *= MAYAN_BASES[name]
+        value += scale * counters[r]
+        scale *= bases[r]
     return value
+
+
+MAYAN_RUNGS = ("kin", "uinal", "tun", "katun", "baktun")
+MAYAN_BASES = [20, 18, 20, 20]
+
+
+def mayan_counters(n_kin: int) -> list[list[int]]:
+    """Tick kin/uinal/tun/katun counters one kin at a time."""
+    return positional_counters(MAYAN_BASES, n_kin)
+
+
+def mayan_pair_value(c: list[int], lower: str, upper: str) -> int:
+    """Positional value of the counters from lower (exclusive of upper)."""
+    return positional_value(c, MAYAN_BASES, MAYAN_RUNGS.index(lower), MAYAN_RUNGS.index(upper))
 
 
 def ladder_boundaries(rules: list, n: int) -> list[list[int]]:

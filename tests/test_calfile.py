@@ -1,6 +1,6 @@
 import pytest
 
-from timegrain import ValidationError, load_calendar, parse_calendar
+from timegrain import ValidationError, cli, load_calendar, parse_calendar
 from timegrain.calfile import format_calendar
 from timegrain.fixtures import BUNDLED
 
@@ -99,6 +99,28 @@ def test_unreadable_file(tmp_path, unreadable):
         load_calendar(path)
     assert err.value.kind == "bad-calendar-file"
     assert err.value.message.startswith(str(path))
+
+
+EVENT_FAULTS = {
+    "bad-category": ("category.0 = none | 5-8", "category index 0 in 'e'; 0 is reserved for none"),
+    "bad-interval": ("category.1 = late | 5-3", "interval [5, 3) in 'e' is not a half-open range"),
+    "overlapping-intervals": (
+        "category.1 = a | 0-5\ncategory.2 = b | 8-9 3-6",
+        "intervals overlap at index 3 in 'e'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", EVENT_FAULTS)
+def test_event_faults_exit_3(tmp_path, capsys, kind):
+    section, message = EVENT_FAULTS[kind]
+    path = tmp_path / "events.cal"
+    path.write_text(f"{MINIMAL}\n[events e]\n{section}\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        parse_calendar(path.read_text(encoding="utf-8"))
+    assert (err.value.kind, err.value.message) == (kind, message)
+    assert cli.run(["calendar", "validate", str(path)]) == 3
+    assert capsys.readouterr().err == f"error kind={kind} exit=3: {message}\n"
 
 
 def test_semester_structure(semester):

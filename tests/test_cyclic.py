@@ -1,11 +1,12 @@
 from datetime import date
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mayan_counters, mayan_pair_value
+from oracles import mayan_counters, mayan_pair_value, positional_counters, positional_value
 from timegrain import (
     ComputationError,
     ConstantPeriod,
@@ -25,7 +26,7 @@ from timegrain.fixtures import gregorian_calendar
 
 @pytest.fixture(scope="module")
 def minutes():
-    return gregorian_calendar(bottom="minute", years=4).hierarchy
+    return gregorian_calendar(bottom="minute").hierarchy
 
 
 class TestCircular:
@@ -44,8 +45,8 @@ class TestCircular:
 
     @settings(max_examples=200)
     @given(z=st.integers(min_value=0, max_value=10**9), t=st.integers(min_value=0, max_value=1000))
-    def test_range_and_periodicity(self, z, t):
-        h = gregorian_calendar(bottom="minute", years=4).hierarchy
+    def test_range_and_periodicity(self, minutes, z, t):
+        h = minutes
         d = pairwise_descriptor(h, "hour", "week")
         v = evaluate(h, d, z)
         assert 0 <= v < 168
@@ -240,6 +241,65 @@ class TestReduceToSingle:
                         h, (names[lo], names[hi], wide), (names[a], names[a + 1])
                     )
                     assert got == single
+
+
+@st.composite
+def proper_chains(draw):
+    """Rules of a chain, bottom first: constant periods and at most one irregular
+    table, which counts granules of its own rung (no sliding unit)."""
+    rules = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        cards = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=5)))
+        rules.insert(draw(st.integers(0, len(rules))), cards)
+    return rules
+
+
+def chain(rules) -> Hierarchy:
+    rungs = [
+        Rung(f"r{k}", ConstantPeriod(r) if isinstance(r, int) else IrregularMapping(r))
+        for k, r in enumerate(rules)
+    ]
+    return Hierarchy("chain", (*rungs, Rung("top", ConstantPeriod(1))))
+
+
+class TestAgainstEvaluate:
+    """The order-up algebra and the evaluator agree on random proper chains."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rules=proper_chains(), zs=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    def test_compose_up_and_reduce_to_single(self, rules, zs):
+        h = chain(rules)
+        names = h.rung_names
+        for z in zs:
+            value = {
+                (lo, hi): evaluate(h, pairwise_descriptor(h, names[lo], names[hi]), z)
+                for lo in range(len(names))
+                for hi in range(lo + 1, len(names))
+            }
+            for (lo, hi), v in value.items():
+                assert compose_up(h, names[lo], names[hi], z) == v
+                constant = all(isinstance(r, int) for r in rules[lo:hi])
+                for (a, b), narrow in value.items():
+                    if lo <= a < b <= hi:
+                        known, target = (names[lo], names[hi], v), (names[a], names[b])
+                        if constant:
+                            assert reduce_to_single(h, known, target) == narrow
+                        else:
+                            with pytest.raises(ComputationError):
+                                reduce_to_single(h, known, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bases=st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    def test_constant_ladders_match_positional_counters(self, bases):
+        h = chain(bases)
+        names = h.rung_names
+        n = 2 * prod(bases) + 3  # two top granules and part of a third
+        counters = positional_counters(bases, n)
+        for lo in range(len(names)):
+            for hi in range(lo + 1, len(names)):
+                got = evaluate(h, pairwise_descriptor(h, names[lo], names[hi]), np.arange(n))
+                want = [positional_value(c, bases, lo, hi) for c in counters]
+                assert got.tolist() == want, (names[lo], names[hi])
 
 
 class TestLabels:

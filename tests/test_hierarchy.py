@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -17,9 +18,12 @@ from oracles import (
     periodical_oracle,
 )
 from timegrain import (
+    AperiodicEventCalendar,
     ComputationError,
     ConstantPeriod,
+    EventCategory,
     Hierarchy,
+    IndexSpan,
     IrregularMapping,
     Rung,
     TimegrainError,
@@ -32,67 +36,100 @@ from timegrain import (
     is_periodical,
     linear_granule,
     period_length,
-    validate_hierarchy,
 )
 from timegrain import hierarchy
-from timegrain.fixtures import gregorian_calendar
+from timegrain.fixtures import cricket_calendar, gregorian_calendar, semester_calendar
 
 
 @pytest.fixture(scope="module")
 def minutes():
     """Minute-bottom ladder with a week rung (origin 2012-01-01)."""
-    return gregorian_calendar(bottom="minute", years=4).hierarchy
+    return gregorian_calendar(bottom="minute").hierarchy
 
 
 class TestValidate:
+    """Every ladder is checked when it is built."""
+
     def test_gregorian_ladder_valid(self, gregorian):
-        assert validate_hierarchy(gregorian.hierarchy) is gregorian.hierarchy
+        h = gregorian.hierarchy
+        assert replace(h) == h
 
     def test_mayan_ladder_valid(self, mayan):
-        h = validate_hierarchy(mayan.hierarchy)
+        h = replace(mayan.hierarchy)
         periods = [r.rule.period for r in h.rungs]
         assert periods == [20, 18, 20, 20, 1]
 
     def test_duplicate_rung_name(self):
-        h = Hierarchy(
-            "broken",
-            (Rung("day", ConstantPeriod(7)), Rung("day", ConstantPeriod(1))),
-        )
         with pytest.raises(ValidationError) as err:
-            validate_hierarchy(h)
+            Hierarchy(
+                "broken",
+                (Rung("day", ConstantPeriod(7)), Rung("day", ConstantPeriod(1))),
+            )
         assert err.value.kind == "duplicate-rung"
 
     def test_non_sentinel_top(self):
-        h = Hierarchy(
-            "broken",
-            (Rung("day", ConstantPeriod(7)), Rung("week", ConstantPeriod(4))),
-        )
         with pytest.raises(ValidationError) as err:
-            validate_hierarchy(h)
+            Hierarchy(
+                "broken",
+                (Rung("day", ConstantPeriod(7)), Rung("week", ConstantPeriod(4))),
+            )
         assert err.value.kind == "bad-sentinel"
 
     def test_too_few_rungs(self):
         with pytest.raises(ValidationError) as err:
-            validate_hierarchy(Hierarchy("one", (Rung("day", ConstantPeriod(1)),)))
+            Hierarchy("one", (Rung("day", ConstantPeriod(1)),))
         assert err.value.kind == "empty-hierarchy"
 
     def test_bad_period(self):
-        h = Hierarchy(
-            "broken",
-            (Rung("day", ConstantPeriod(0)), Rung("week", ConstantPeriod(1))),
-        )
         with pytest.raises(ValidationError) as err:
-            validate_hierarchy(h)
+            Hierarchy(
+                "broken",
+                (Rung("day", ConstantPeriod(0)), Rung("week", ConstantPeriod(1))),
+            )
         assert err.value.kind == "bad-period"
 
     def test_bad_cardinality(self):
-        h = Hierarchy(
-            "broken",
-            (Rung("day", IrregularMapping((31, 0))), Rung("month", ConstantPeriod(1))),
-        )
         with pytest.raises(ValidationError) as err:
-            validate_hierarchy(h)
+            Hierarchy(
+                "broken",
+                (Rung("day", IrregularMapping((31, 0))), Rung("month", ConstantPeriod(1))),
+            )
         assert err.value.kind == "bad-cardinality"
+
+
+def events(*categories) -> AperiodicEventCalendar:
+    return AperiodicEventCalendar("e", tuple(EventCategory(i, f"c{i}", iv) for i, iv in categories))
+
+
+# inputs that once built silently and evaluated to wrong values or empty
+# screens (bad ladders are in TestValidate)
+BUILT_BROKEN = {
+    "category-zero": (lambda: events((0, ((5, 3),))), "bad-category"),
+    "reversed-interval": (lambda: events((1, ((5, 3),))), "bad-interval"),
+    "negative-interval": (lambda: events((1, ((-1, 3),))), "bad-interval"),
+    "overlapping-intervals": (lambda: events((1, ((0, 5),)), (2, ((3, 8),))), "overlapping-intervals"),
+    "huge-interval": (lambda: events((1, ((5, 2**63),))), "index-overflow"),
+    "huge-category": (lambda: events((2**63, ((5, 8),))), "index-overflow"),
+    "empty-span": (lambda: IndexSpan(length=0), "empty-span"),
+    "bundled-cricket": (lambda: cricket_calendar(match_counts=(6, 0, 7)), "bad-cardinality"),
+    "bundled-semester": (lambda: semester_calendar(starts=(58, 100)), "overlapping-intervals"),
+    "gregorian-bottom": (lambda: gregorian_calendar(bottom="fortnight"), "unknown-bottom"),
+}
+
+
+@pytest.mark.parametrize("build,kind", BUILT_BROKEN.values(), ids=BUILT_BROKEN.keys())
+def test_bad_input_fails_when_built(build, kind):
+    with pytest.raises(TimegrainError) as err:
+        build()
+    assert err.value.kind == kind
+
+
+def test_disjoint_events_build():
+    ev = events((2, ((5, 8), (0, 5))), (1, ((8, 9),)))
+    assert ev.category_of(np.arange(-2, 10)).tolist() == [0, 0] + [2] * 8 + [1, 0]
+    # a category without intervals never occurs
+    assert events((1, ())).category_of(np.arange(-2, 3)).tolist() == [0] * 5
+    assert events((1, ())).category_of(7) == 0
 
 
 class TestPeriodLength:
@@ -187,16 +224,14 @@ class TestRelativities:
 
     def test_split_granule_is_not_grouping(self):
         # a coarse granularity whose first granule splits a day: 30 then 66 half hours
-        h = validate_hierarchy(
-            Hierarchy(
-                "odd",
-                (
-                    Rung("halfhour", ConstantPeriod(2)),
-                    Rung("hour", ConstantPeriod(24)),
-                    Rung("day", IrregularMapping((30, 66), unit="halfhour")),
-                    Rung("odd", ConstantPeriod(1)),
-                ),
-            )
+        h = Hierarchy(
+            "odd",
+            (
+                Rung("halfhour", ConstantPeriod(2)),
+                Rung("hour", ConstantPeriod(24)),
+                Rung("day", IrregularMapping((30, 66), unit="halfhour")),
+                Rung("odd", ConstantPeriod(1)),
+            ),
         )
         assert not groups_into(h, "day", "odd", 48 * 10)
 
@@ -261,7 +296,7 @@ def build_ladder(rules) -> Hierarchy:
         Rung(f"r{k}", ConstantPeriod(r) if isinstance(r, int) else IrregularMapping(r))
         for k, r in enumerate(rules)
     ]
-    return validate_hierarchy(Hierarchy("random", (*rungs, Rung("top", ConstantPeriod(1)))))
+    return Hierarchy("random", (*rungs, Rung("top", ConstantPeriod(1))))
 
 
 def verdict(check, *args):
