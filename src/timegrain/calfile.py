@@ -55,6 +55,16 @@ class Calendar:
     hierarchy: Hierarchy
     events: dict[str, AperiodicEventCalendar] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        """Every label map must name a rung pair or an event calendar."""
+        names = self.hierarchy.rung_names
+        known = {f"{lo}_{hi}" for k, lo in enumerate(names) for hi in names[k + 1 :]}
+        for name in self.hierarchy.labels:
+            if name not in known and name not in self.events:
+                raise ValidationError(
+                    "unknown-labels", f"[labels {name}] names no rung pair or event calendar"
+                )
+
 
 def ini_parser() -> configparser.ConfigParser:
     """The INI dialect shared by calendar and session files."""

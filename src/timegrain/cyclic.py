@@ -136,8 +136,8 @@ def evaluate(
         idx = h._reps[h.position(d.lower)].idx(z)
         out = idx % period_length(h, d.lower, d.upper)
     else:
-        urep = h._reps[h.position(d.upper)]
-        ustart = urep.start(urep.idx(z))
+        # upper reps of quasi-circular pairs are irregular
+        ustart = h._reps[h.position(d.upper)].floor(z)
         bu = h.bottom_units(d.lower)
         if bu is not None:
             out = (z - ustart) // bu

@@ -10,7 +10,18 @@ Structural scans sample the span at the coarsest stride on which both
 granularities are constant, so counts mean "distinct joint granules" and
 verdicts do not depend on how fine the bottom granularity happens to be.
 
-Both modes count in fixed blocks of ``SCAN_BLOCK`` points, evaluating and
+A structural pair whose one side is circular with a regular upper rung
+(hour-of-day, half-hour-of-hour, or a granularity derived from one) is
+not scanned point by point when that upper rung's length U divides the
+other side's anchor block B (the block on which that side is constant):
+U groups into B (Bettini et al. 2000), so every whole B-block holds the
+circular side's levels in the same multiplicities, and those blocks
+count as the outer product of the multiplicities with a histogram of the
+other side taken at one point per block. This is the paper's nested
+ordering made exact. The grid points in the partial blocks at the two
+ends of the span are scanned.
+
+Scans count in fixed blocks of ``SCAN_BLOCK`` points, evaluating and
 tallying one block at a time, so the memory a scan needs does not grow
 with the span or the table.
 """
@@ -69,11 +80,19 @@ class PairClassification:
 
 
 def _anchor(cal: Calendar, d: CyclicDescriptor) -> int:
-    """Block size (bottom units) on which d's value is constant."""
+    """Block size (bottom units) on which d's value is constant.
+
+    A quasi-circular value moves when its lower granule changes and when
+    its upper granule starts; a sliding lower rung (weeks inside months)
+    is not constant between upper starts, so both rungs' blocks count.
+    """
     d = d.root
     if d.kind == "aperiodic":
         return 1
-    return cal.hierarchy.anchor_block(d.lower)
+    h = cal.hierarchy
+    if d.kind == CIRCULAR:
+        return h.anchor_block(d.lower)
+    return gcd(h.anchor_block(d.lower), h.anchor_block(d.upper))
 
 
 def _cycle(cal: Calendar, d: CyclicDescriptor) -> int | None:
@@ -84,6 +103,51 @@ def _cycle(cal: Calendar, d: CyclicDescriptor) -> int | None:
     return cal.hierarchy.bottom_units(d.upper)
 
 
+def _tally(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, points, k: int, m: int):
+    """K x L counts of points ``k`` to ``m - 1``, evaluated ``SCAN_BLOCK`` at a time."""
+    counts = np.zeros(ci.levels * cj.levels, dtype=np.int64)
+    for lo in range(k, m, SCAN_BLOCK):
+        zs = points(lo, min(lo + SCAN_BLOCK, m))
+        vi = evaluate(cal.hierarchy, ci, zs, cal.events)
+        vj = evaluate(cal.hierarchy, cj, zs, cal.events)
+        counts += np.bincount(vi * cj.levels + vj, minlength=counts.size)
+    return counts.reshape(ci.levels, cj.levels)
+
+
+def _grid(span: IndexSpan, stride: int):
+    """Points ``k`` to ``m - 1`` of the span sampled at ``stride``, as a function of k, m."""
+    return lambda k, m: span.start + stride * np.arange(k, m, dtype=np.int64)
+
+
+def _nested(
+    a: CyclicDescriptor, b: CyclicDescriptor, cal: Calendar,
+    span: IndexSpan, stride: int, cycle: int, block: int,
+) -> np.ndarray:
+    """Structural counts of ``a`` repeating every ``cycle`` units against ``b``
+    constant on ``block``-aligned blocks, where ``cycle`` divides ``block``.
+
+    Every whole block holds ``a``'s levels in the same multiplicities and
+    one value of ``b``, so those blocks count as their outer product; the
+    grid points of the partial blocks at the two ends are scanned.
+    """
+    n, points = (span.length + stride - 1) // stride, _grid(span, stride)
+    first, stop = -(-span.start // block), (span.start + span.length) // block
+    if stop <= first:
+        return _tally(a, b, cal, points, 0, n)
+    head = -(-(first * block - span.start) // stride)  # first grid point of block `first`
+    tail = head + (stop - first) * (block // stride)
+    h, events = cal.hierarchy, cal.events
+    # a depends on the index modulo `cycle` only: one cycle's points, repeated
+    mult = np.bincount(evaluate(h, a, points(head, head + cycle // stride), events),
+                       minlength=a.levels) * (block // cycle)
+    hist = np.zeros(b.levels, dtype=np.int64)
+    for q in range(first, stop, SCAN_BLOCK):
+        starts = block * np.arange(q, min(q + SCAN_BLOCK, stop), dtype=np.int64)
+        hist += np.bincount(evaluate(h, b, starts, events), minlength=b.levels)
+    ends = _tally(a, b, cal, points, 0, head) + _tally(a, b, cal, points, tail, n)
+    return np.outer(mult, hist) + ends
+
+
 def cross_tab(
     data: GranularTable | IndexSpan,
     ci: CyclicDescriptor,
@@ -92,12 +156,21 @@ def cross_tab(
 ) -> OccupancyTable:
     """K x L occupancy of the pair over table rows or a synthetic span.
 
+    A span is sampled at the stride ``gcd`` of both anchors, from its
+    start. When one side is circular with a regular upper rung whose
+    length divides the other side's anchor block, the whole blocks count
+    as the product of that side's per-block level multiplicities and a
+    histogram of the other side, one sample per block; the grid points of
+    the partial blocks at the two ends are scanned, and a span without a
+    whole block is scanned throughout. Every other pair is scanned.
+
     A span samples at least one point: ``IndexSpan`` rejects empty spans
     with ``empty-span`` when it is built.
     """
     if isinstance(data, IndexSpan):
         mode = "structural"
-        stride = gcd(_anchor(cal, ci), _anchor(cal, cj))
+        anchor_i, anchor_j = _anchor(cal, ci), _anchor(cal, cj)
+        stride = gcd(anchor_i, anchor_j)
         cyc_i, cyc_j = _cycle(cal, ci), _cycle(cal, cj)
         if cyc_i is not None and cyc_j is not None:
             common = lcm(cyc_i, cyc_j)
@@ -108,22 +181,17 @@ def cross_tab(
                     f"of {ci.name} and {cj.name}",
                 )
         n = (data.length + stride - 1) // stride
-
-        def points(k: int, m: int) -> np.ndarray:
-            return data.start + stride * np.arange(k, m, dtype=np.int64)
+        if cyc_i is not None and anchor_j % cyc_i == 0:
+            counts = _nested(ci, cj, cal, data, stride, cyc_i, anchor_j)
+        elif cyc_j is not None and anchor_i % cyc_j == 0:
+            counts = _nested(cj, ci, cal, data, stride, cyc_j, anchor_i).T.copy()
+        else:
+            counts = _tally(ci, cj, cal, _grid(data, stride), 0, n)
     else:
         mode = "observed"
         n = len(data.index)
-
-        def points(k: int, m: int) -> np.ndarray:
-            return data.index[k:m]
-    counts = np.zeros(ci.levels * cj.levels, dtype=np.int64)
-    for k in range(0, n, SCAN_BLOCK):
-        zs = points(k, min(k + SCAN_BLOCK, n))
-        vi = evaluate(cal.hierarchy, ci, zs, cal.events)
-        vj = evaluate(cal.hierarchy, cj, zs, cal.events)
-        counts += np.bincount(vi * cj.levels + vj, minlength=counts.size)
-    return OccupancyTable(ci, cj, counts.reshape(ci.levels, cj.levels), mode, n)
+        counts = _tally(ci, cj, cal, lambda k, m: data.index[k:m], 0, n)
+    return OccupancyTable(ci, cj, counts, mode, n)
 
 
 def _verdict(counts: np.ndarray, near_threshold: float, near_floor: int) -> tuple[str, float]:

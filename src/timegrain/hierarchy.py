@@ -78,7 +78,9 @@ class Hierarchy:
     """Ordered ladder of rungs, bottom first; top rung carries period 1.
 
     Construction checks the ladder and builds its granule locators, so an
-    ill-formed ladder raises ``ValidationError`` and never exists.
+    ill-formed ladder raises ``ValidationError`` and never exists. That
+    includes a rung whose sizes repeat only after 2^63 bottom units or
+    more (``index-overflow``), which the int64 index cannot address.
 
     ``labels`` maps cyclic granularity names (e.g. ``day_week``) to either
     an explicit label tuple or an integer presentation offset.
@@ -144,12 +146,15 @@ class Hierarchy:
                     )
                 if rule.unit is not None and rule.unit not in seen:
                     raise ValidationError("bad-unit", f"rung {rung.name!r} references unknown unit {rule.unit!r}")
-        # per-rung granule locators, built bottom-up along the ladder
+        # per-rung granule locators, built bottom-up along the ladder; one
+        # cycle of each rung must fit the int64 index before numpy sees it
         reps: list[_Rep] = [_Regular(1)]
         for pos, rung in enumerate(self.rungs[:-1]):
-            rule = rung.rule
+            rule, below = rung.rule, reps[pos]
             if isinstance(rule, ConstantPeriod):
-                reps.append(reps[pos].grouped(rule.period))
+                # one cycle of the groups, counted in granules of their anchor
+                anchor, units = (below, rule.period) if isinstance(below, _Regular) else (
+                    below.anchor, rule.period // gcd(below.repetition, rule.period) * below.cycle)
             else:
                 unit = rule.unit or rung.name
                 upos = self.position(unit)
@@ -157,7 +162,15 @@ class Hierarchy:
                     raise ValidationError(
                         "bad-unit", f"unit {unit!r} is above the rung {rung.name!r} carrying the rule"
                     )
-                reps.append(_Irregular(reps[upos], rule.cardinalities))
+                anchor, units = reps[upos], sum(rule.cardinalities)
+            if _bottom_start(anchor, units) >= 2**63:
+                raise ValidationError(
+                    "index-overflow",
+                    f"one cycle of rung {self.rungs[pos + 1].name!r} spans 2^63 or more "
+                    "bottom units; indices are int64",
+                )
+            reps.append(below.grouped(rule.period) if isinstance(rule, ConstantPeriod)
+                        else _Irregular(anchor, rule.cardinalities))
         object.__setattr__(self, "_reps", tuple(reps))
 
 
@@ -210,16 +223,24 @@ class _Irregular:
             granules = np.arange(self.repetition, dtype=np.min_scalar_type(self.repetition - 1))
             self.dense = np.repeat(granules, cards)
 
-    def idx(self, z):
+    def _split(self, z):
+        """Table cycle of ``z`` and its granule's position in the table."""
         cyc, within = np.divmod(np.asarray(self.anchor.idx(z), dtype=np.int64), self.cycle)
         if self.dense is None:
-            j = np.searchsorted(self.prefix, within, side="right") - 1
-        else:
-            j = self.dense[within]
+            return cyc, np.searchsorted(self.prefix, within, side="right") - 1
+        return cyc, self.dense[within]
+
+    def idx(self, z):
+        cyc, j = self._split(z)
         return cyc * self.repetition + j
 
     def start(self, i):
         cyc, j = np.divmod(i, self.repetition)
+        return self.anchor.start(cyc * self.cycle + self.prefix[j])
+
+    def floor(self, z):
+        """First index of the granule containing ``z``, from one table lookup."""
+        cyc, j = self._split(z)
         return self.anchor.start(cyc * self.cycle + self.prefix[j])
 
     def grouped(self, p: int) -> "_Irregular":
@@ -234,6 +255,15 @@ class _Irregular:
 
 
 _Rep = Union[_Regular, _Irregular]
+
+
+def _bottom_start(rep: _Rep, i: int) -> int:
+    """First bottom index of granule ``i`` of ``rep``, in exact integers."""
+    while isinstance(rep, _Irregular):
+        cyc, j = divmod(i, rep.repetition)
+        i = cyc * rep.cycle + int(rep.prefix[j])
+        rep = rep.anchor
+    return i * rep.block
 
 
 def _anchor_block(rep: _Rep) -> int:

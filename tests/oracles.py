@@ -11,6 +11,8 @@ import csv
 import math
 from datetime import date, datetime, timedelta
 
+import numpy as np
+
 
 def days_in_month(year: int, month: int) -> int:
     nxt = date(year + 1, 1, 1) if month == 12 else date(year, month + 1, 1)
@@ -170,6 +172,40 @@ def largest_count(lower: list[int], upper: list[int]) -> int:
             break
         counts[g] += 1
     return max(counts)
+
+
+def constant_block(h, d) -> int:
+    """Bottom units of the aligned blocks on which ``d``'s value is constant.
+
+    A circular value moves only with its lower granule; a quasi-circular
+    one also where its upper granules start, which a sliding lower rung
+    (weeks inside months) does not line up with; an aperiodic value can
+    change at any index.
+    """
+    while d.base is not None:
+        d = d.base
+    if d.kind == "aperiodic":
+        return 1
+    if d.kind == "circular":
+        return h.anchor_block(d.lower)
+    return math.gcd(h.anchor_block(d.lower), h.anchor_block(d.upper))
+
+
+def blocked_structural_scan(evaluate, h, ci, cj, start: int, length: int, stride: int,
+                            events=None, block: int = 1 << 16):
+    """(counts, points) of a pair at every ``stride``-th index of [start, start + length).
+
+    The reference for structural ``cross_tab``: each point is evaluated
+    and tallied, ``block`` points at a time. It uses the engine's
+    ``evaluate`` for single values, not its product rule for nested pairs.
+    """
+    n = -(-length // stride)
+    counts = np.zeros(ci.levels * cj.levels, dtype=np.int64)
+    for k in range(0, n, block):
+        zs = start + stride * np.arange(k, min(k + block, n), dtype=np.int64)
+        vi, vj = evaluate(h, ci, zs, events), evaluate(h, cj, zs, events)
+        counts += np.bincount(vi * cj.levels + vj, minlength=counts.size)
+    return counts.reshape(ci.levels, cj.levels), n
 
 
 def date_of_index(origin_year: int, z_days: int) -> date:

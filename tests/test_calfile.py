@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from timegrain import ValidationError, cli, load_calendar, parse_calendar
+from timegrain import Calendar, ValidationError, cli, load_calendar, parse_calendar
 from timegrain.calfile import format_calendar
 from timegrain.fixtures import BUNDLED
 
@@ -143,3 +145,41 @@ def test_bad_cardinality_named_in_long_table():
         parse_calendar(text)
     assert err.value.kind == "bad-calendar-file"
     assert err.value.message == "[rung tick] cardinalities = '3l' is not an integer"
+
+
+CALENDAR_FAULTS = {
+    "huge-period": (
+        MINIMAL.replace("period = 10", "period = 99999999999999999999"), "index-overflow",
+        "one cycle of rung 'block' spans 2^63 or more bottom units; indices are int64",
+    ),
+    "huge-cardinalities": (
+        MINIMAL.replace("period = 10", f"cardinalities = {2**62} {2**62}"), "index-overflow",
+        "one cycle of rung 'block' spans 2^63 or more bottom units; indices are int64",
+    ),
+    "labels-typo": (
+        MINIMAL + "\n[labels tick_blok]\noffset = 1\n", "unknown-labels",
+        "[labels tick_blok] names no rung pair or event calendar",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CALENDAR_FAULTS)
+def test_calendar_faults_exit_3(tmp_path, capsys, name):
+    text, kind, message = CALENDAR_FAULTS[name]
+    with pytest.raises(ValidationError) as err:
+        parse_calendar(text)
+    assert (err.value.kind, err.value.message) == (kind, message)
+    path = tmp_path / "faulty.cal"
+    path.write_text(text, encoding="utf-8")
+    assert cli.run(["calendar", "validate", str(path)]) == 3
+    assert capsys.readouterr().err == f"error kind={kind} exit=3: {message}\n"
+
+
+def test_labels_for_rung_pairs_and_events_accepted(semester):
+    text = MINIMAL + "\n[labels tick_block]\noffset = 1\n"
+    h = parse_calendar(text).hierarchy
+    assert h.labels == {"tick_block": 1}
+    with pytest.raises(ValidationError) as err:
+        Calendar(replace(h, labels={"tick_blok": 1}))
+    assert err.value.kind == "unknown-labels"
+    assert parse_calendar(format_calendar(semester)).hierarchy.labels == semester.hierarchy.labels

@@ -1,15 +1,22 @@
 import io
 import tracemalloc
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_verdict_oracle
+from oracles import blocked_structural_scan, constant_block, pair_verdict_oracle
+from test_hierarchy import proper_ladders
 from timegrain import (
+    Calendar,
     ComputationError,
+    ConstantPeriod,
+    Hierarchy,
+    IrregularMapping,
+    Rung,
     GranularTable,
     HarmonyRow,
     IndexSpan,
@@ -105,6 +112,87 @@ class TestCrossTab:
         a = cross_tab(YEAR_2013, ds["day_week"], ds["month_year"], gregorian)
         b = cross_tab(YEAR_2013, ds["day_week"], ds["month_year"], gregorian)
         assert (a.counts == b.counts).all()
+
+
+    def test_sliding_week_counted_per_day(self, gregorian):
+        # week_month moves at month starts inside a week, so it is sampled per day
+        h = gregorian.hierarchy
+        ci, cj = pairwise_descriptor(h, "week", "month"), pairwise_descriptor(h, "week", "year")
+        occ = cross_tab(IndexSpan(366 * 48), ci, cj, gregorian)
+        zs = np.arange(366 * 48, dtype=np.int64)
+        scan = np.bincount(
+            evaluate(h, ci, zs) * cj.levels + evaluate(h, cj, zs), minlength=ci.levels * cj.levels
+        ).reshape(ci.levels, cj.levels)
+        assert ((occ.counts > 0) == (scan > 0)).all()
+        assert (occ.counts * 48 == scan).all()  # one point per day against 48 half-hours
+
+
+def screen_ladder(rules, week: int, fine: int) -> Hierarchy:
+    """Ladder of ``proper_ladders`` rules, changed in two optional ways.
+
+    With ``week`` > 0, rung r1 first steps into weeks of ``week`` r1
+    granules that slide across the r2 boundaries, and r2's table still
+    counts r1 granules (as Gregorian weeks and months). With ``fine`` > 0,
+    a bottom rung of which ``fine`` granules make one r0 granule goes
+    under r0, so circular pairs repeat more than once per r1 granule.
+    """
+    rungs = [
+        Rung(f"r{k}", ConstantPeriod(r) if isinstance(r, int) else IrregularMapping(r))
+        for k, r in enumerate(rules)
+    ]
+    if week:
+        rungs[1:2] = [Rung("r1", ConstantPeriod(week)),
+                      Rung("wk", IrregularMapping(rules[1], unit="r1"))]
+    if fine:
+        rungs.insert(0, Rung("fine", ConstantPeriod(fine)))
+    return Hierarchy("screen", (*rungs, Rung("top", ConstantPeriod(1))))
+
+
+@st.composite
+def screens(draw):
+    """A ladder, its descriptors of at most 40 levels plus one derived from
+    one of them, and a span with an unaligned start, often shorter than or
+    just over the widest block on which a descriptor is constant."""
+    h = screen_ladder(draw(proper_ladders()), draw(st.sampled_from([0, 2, 3, 4])),
+                      draw(st.sampled_from([0, 2, 3])))
+    names = h.rung_names
+    descriptors = [d for d in (pairwise_descriptor(h, names[lo], names[hi])
+                               for lo, hi in combinations(range(len(names)), 2)) if d.levels <= 40]
+    base = draw(st.sampled_from(descriptors))
+    remap = draw(st.lists(st.integers(0, 3), min_size=base.levels, max_size=base.levels))
+    values = sorted(set(remap))
+    descriptors.append(derive_descriptor(base, [values.index(v) for v in remap], "derived"))
+    block = max(constant_block(h, d) for d in descriptors)
+    length = draw(st.one_of(st.integers(1, block), st.integers(block, block + 4),
+                            st.integers(block, 60 * block)))
+    return h, descriptors, IndexSpan(length=length, start=draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(screen=screens())
+def test_structural_counts_match_blocked_scan(screen):
+    h, descriptors, span = screen
+    cal = Calendar(h)
+    for ci, cj in combinations(descriptors, 2):
+        try:
+            occ = cross_tab(span, ci, cj, cal)
+        except ComputationError as err:
+            assert err.kind == "insufficient-span"
+            with pytest.raises(ComputationError):
+                cross_tab(span, cj, ci, cal)
+            continue
+        flipped = cross_tab(span, cj, ci, cal)
+        stride = gcd(constant_block(h, ci), constant_block(h, cj))
+        want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, stride)
+        assert occ.total == flipped.total == n
+        assert (occ.counts == want).all()
+        assert (flipped.counts == want.T).all()
+        # the stride loses no joint granule: every index of the stride blocks
+        # the grid falls in occupies the same cells
+        lo = span.start - span.start % stride
+        hi = (span.start + (n - 1) * stride) // stride * stride + stride
+        fine, _ = blocked_structural_scan(evaluate, h, ci, cj, lo, hi - lo, 1)
+        assert ((fine > 0) == (want > 0)).all()
 
 
 def test_structural_scan_memory_is_bounded(gregorian):

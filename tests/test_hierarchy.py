@@ -101,6 +101,12 @@ def events(*categories) -> AperiodicEventCalendar:
     return AperiodicEventCalendar("e", tuple(EventCategory(i, f"c{i}", iv) for i, iv in categories))
 
 
+def ladder(*rules) -> Hierarchy:
+    rungs = [Rung(f"r{k}", ConstantPeriod(r) if isinstance(r, int) else IrregularMapping(r))
+             for k, r in enumerate(rules)]
+    return Hierarchy("wide", (*rungs, Rung("top", ConstantPeriod(1))))
+
+
 # inputs that once built silently and evaluated to wrong values or empty
 # screens (bad ladders are in TestValidate)
 BUILT_BROKEN = {
@@ -111,6 +117,10 @@ BUILT_BROKEN = {
     "huge-interval": (lambda: events((1, ((5, 2**63),))), "index-overflow"),
     "huge-category": (lambda: events((2**63, ((5, 8),))), "index-overflow"),
     "empty-span": (lambda: IndexSpan(length=0), "empty-span"),
+    "huge-cardinalities": (lambda: ladder((2**62, 2**62)), "index-overflow"),
+    "huge-periods": (lambda: ladder(2**40, 2**40), "index-overflow"),
+    "huge-table-on-wide-unit": (lambda: ladder(2**32, (2**30, 2**30)), "index-overflow"),
+    "huge-grouped-table": (lambda: ladder((3, 4), 2**62), "index-overflow"),
     "bundled-cricket": (lambda: cricket_calendar(match_counts=(6, 0, 7)), "bad-cardinality"),
     "bundled-semester": (lambda: semester_calendar(starts=(58, 100)), "overlapping-intervals"),
     "gregorian-bottom": (lambda: gregorian_calendar(bottom="fortnight"), "unknown-bottom"),
@@ -122,6 +132,15 @@ def test_bad_input_fails_when_built(build, kind):
     with pytest.raises(TimegrainError) as err:
         build()
     assert err.value.kind == kind
+
+
+def test_widest_int64_granules_build():
+    h = ladder(2**31, 2**31 - 1, (1, 1))
+    assert h.bottom_units("r2") == 2**62 - 2**31
+    # top granules are single r2 granules: the last index falls in the third
+    assert linear_granule(h, np.array([2**63 - 1]), "top").tolist() == [2]
+    assert granule_start(h, "top", np.array([2])).tolist() == [2**63 - 2**32]
+    assert ladder((2**62, 2**62 - 1)).anchor_block("top") == 1
 
 
 def test_disjoint_events_build():
