@@ -55,6 +55,8 @@ def _out_dir(args, cfg: SessionConfig | None) -> Path:
 def _output_path(args, cfg: SessionConfig, default: str) -> Path:
     """``--out``, else ``default`` in the output directory; makes its parent."""
     out = Path(args.out) if args.out else _out_dir(args, cfg) / default
+    if out.is_dir():
+        raise ValidationError("bad-output", f"output path {out} is a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -102,7 +104,7 @@ def cmd_calendar_validate(args) -> int:
 
 
 def cmd_granularity_list(args) -> int:
-    _, _, catalog = _load_session(args)
+    cfg, _, catalog = _load_session(args)
     buffer = io.StringIO()
     with csv_writer(buffer, args.delimiter) as writer:
         writer.writerow(["name", "kind", "levels", "lower", "upper"])
@@ -110,7 +112,7 @@ def cmd_granularity_list(args) -> int:
             writer.writerow([d.name, d.kind, d.levels, d.lower or "", d.upper or ""])
     text = buffer.getvalue()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _output_path(args, cfg, "").write_text(text, encoding="utf-8")
     print(text, end="")
     n_pairs = sum(1 for d in catalog.values() if d.base is None and d.kind != "aperiodic")
     n_derived = sum(1 for d in catalog.values() if d.base is not None)

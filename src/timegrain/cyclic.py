@@ -26,6 +26,7 @@ from .hierarchy import (
     ConstantPeriod,
     Hierarchy,
     IrregularMapping,
+    is_scalar,
     period_length,
 )
 
@@ -111,10 +112,6 @@ def _quasi_levels(h: Hierarchy, lo: int, hi: int) -> int:
     return int(counts.max())
 
 
-def _scalar(z) -> bool:
-    return np.isscalar(z) or isinstance(z, int)
-
-
 def evaluate(
     h: Hierarchy,
     d: CyclicDescriptor,
@@ -144,7 +141,7 @@ def evaluate(
         else:
             lrep = h._reps[h.position(d.lower)]
             out = lrep.idx(z) - lrep.idx(ustart)
-    return int(out) if _scalar(z) else np.asarray(out, dtype=np.int64)
+    return int(out) if is_scalar(z) else np.asarray(out, dtype=np.int64)
 
 
 def _effective_steps(h: Hierarchy, lo: int, hi: int):

@@ -286,6 +286,11 @@ def period_length(h: Hierarchy, lower: str, upper: str) -> int:
     return prod(rung.rule.period for rung in h.rungs[lo:hi])
 
 
+def is_scalar(z) -> bool:
+    """Whether ``z`` is one index rather than an array of them."""
+    return np.isscalar(z) or isinstance(z, int)
+
+
 def linear_granule(h: Hierarchy, z, rung: str):
     """Index of the granule of ``rung`` containing bottom granule ``z``.
 
@@ -293,14 +298,14 @@ def linear_granule(h: Hierarchy, z, rung: str):
     """
     rep = h._reps[h.position(rung)]
     out = rep.idx(z)
-    return int(out) if np.isscalar(z) or isinstance(z, int) else out
+    return int(out) if is_scalar(z) else out
 
 
 def granule_start(h: Hierarchy, rung: str, index):
     """First bottom granule of granule ``index`` of ``rung``."""
     rep = h._reps[h.position(rung)]
     out = rep.start(index)
-    return int(out) if np.isscalar(index) or isinstance(index, int) else out
+    return int(out) if is_scalar(index) else out
 
 
 def _granule_bounds(h: Hierarchy, rung: str, span_end: int) -> np.ndarray:
@@ -410,4 +415,4 @@ class AperiodicEventCalendar:
         zz = np.asarray(z, dtype=np.int64)
         pos = np.searchsorted(starts, zz, side="right") - 1
         out = np.where(zz < ends[pos], cats[pos], 0)
-        return int(out) if np.isscalar(z) or isinstance(z, int) else out
+        return int(out) if is_scalar(z) else out

@@ -56,10 +56,11 @@ class IngestionSchema:
     ``timestamp_format`` is a strptime pattern, or the special value
     ``index`` when the timestamp column already holds bottom-granule
     indexes in [0, 2**63) (then ``origin``/``bottom_duration`` are unused).
-    ``index`` and the ISO 8601 patterns ``%Y-%m-%d``, ``%Y-%m-%d %H``,
-    ``%Y-%m-%d %H:%M`` and ``%Y-%m-%d %H:%M:%S`` (or with ``T`` for the
-    space) are read column-wise by ``ingest``; other patterns row by row,
-    with the same results and errors.
+    ``ingest`` reads ``index`` cells by ``int``; stamps in the ISO 8601
+    patterns ``%Y-%m-%d``, ``%Y-%m-%d %H``, ``%Y-%m-%d %H:%M`` and
+    ``%Y-%m-%d %H:%M:%S`` (or ``T`` for the space) by one ``datetime64``
+    conversion if all have its fixed-width form, else by ``strptime``;
+    every other check is shared. ``delimiter`` is one character.
     """
 
     timestamp_column: str
@@ -69,6 +70,15 @@ class IngestionSchema:
     key_columns: tuple[str, ...] = ()
     measurement_columns: tuple[str, ...] = ()
     delimiter: str = ","
+
+    def __post_init__(self) -> None:
+        check_delimiter(self.delimiter)
+
+
+def check_delimiter(delimiter: str) -> None:
+    """Reject a field delimiter that is not one character, which ``csv`` cannot use."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValidationError("bad-delimiter", f"delimiter {delimiter!r} is not one character")
 
 
 @dataclass(frozen=True)
@@ -107,21 +117,19 @@ def ingest(
 
     Timestamps become bottom-granule indexes relative to the schema's
     origin; the original strings are retained as a presentation column.
-    Rows are rejected (with their line number) on missing fields (blank
-    lines included), unparseable timestamps, timestamps before the origin,
-    indexes of 2**63 or more, duplicate (keys, index) pairs, or infinite
-    measurements. Blank cells and ``nan`` are missing measurements. A path
-    that cannot be opened (a directory, say), or a file that is not UTF-8,
-    is rejected as a whole; an ``origin`` that ``timestamp_format`` cannot
-    read is a ``ValidationError``.
+    A path that cannot be opened (a directory, say), or a file that is not
+    UTF-8, is rejected as a whole; an ``origin`` that ``timestamp_format``
+    cannot read is a ``ValidationError``.
 
-    The needed fields are read in one pass and checked a column at a
-    time: ``index`` cells by ``int``, and timestamps in one of the ISO 8601
-    patterns listed on ``IngestionSchema`` by one NumPy ``datetime64``
-    conversion, once every cell has the pattern's fixed-width form. Other
-    patterns, and any file with a row those checks flag, are read by a
-    row-by-row loop. Both give the same table, and the loop raises the
-    error of the first faulty row in file order.
+    The needed fields are read in one pass and checked a column at a time,
+    in the order a row is checked: its timestamp (unparseable, before the
+    origin, or an index of 2**63 or more), its keys (missing from a short
+    row or a blank line), its (keys, index) pair (an earlier row's), then
+    each measurement (missing, or not a number; blank cells and ``nan``
+    are missing values). Each check looks only at the rows before the first
+    fault found so far, so the error raised is the first faulty row's, in
+    file order, with its line number. Infinite measurements are rejected
+    last, column by column.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -131,15 +139,15 @@ def ingest(
         close = True
     else:
         handle, close = source, False
+    names = (schema.timestamp_column, *schema.key_columns, *schema.measurement_columns)
     rows: list[tuple[str, ...]] = []
-    origin = step = None
+    origin = step = short = fault = None
     try:
         reader = csv.reader(handle, delimiter=schema.delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError("empty-file", "source has no header row") from None
-        names = (schema.timestamp_column, *schema.key_columns, *schema.measurement_columns)
         for col in names:
             if col not in header:
                 raise DataError("unknown-column", f"column {col!r} missing from header")
@@ -158,7 +166,7 @@ def ingest(
                     f"{schema.timestamp_format!r}",
                 ) from None
             step = parse_duration(schema.bottom_duration)
-        fault = _read_fields(reader, [header.index(c) for c in names], len(header), rows)
+        short = _read_fields(reader, [header.index(c) for c in names], len(header), rows)
     except UnicodeDecodeError as exc:
         # decoded in blocks ahead of the rows, so no row number is known; the rows
         # read before the bad block are checked first
@@ -167,19 +175,12 @@ def ingest(
         if close:
             handle.close()
 
-    columns = None if fault else _ingest_columns(rows, schema, origin, step)
-    if columns is None:
-        try:
-            columns = _ingest_rows(rows, schema, origin, step)
-        except IndexError:  # only the fields of a short row run out
-            raise fault from None
-        if fault:
-            raise fault
-    stamps, zs, keys, numbers = columns
-
-    measurements = {
-        m: np.asarray(v, dtype=np.float64) for m, v in zip(schema.measurement_columns, numbers)
-    }
+    columns = list(zip(*rows)) or [()] * len(names)
+    if short:  # the short row's fields, up to the first it lacks, end their columns
+        fields, fault = short
+        columns[: len(fields)] = [col + (f,) for col, f in zip(columns, fields)]
+    stamps, zs, keys, numbers = _checked(columns, fault, schema, origin, step)
+    measurements = dict(zip(schema.measurement_columns, numbers))
     for m, values in measurements.items():
         # nan stays "missing"; an infinity has no quantile and no JSON form
         bad = np.flatnonzero(np.isinf(values))
@@ -189,20 +190,20 @@ def ingest(
                 f"row {bad[0] + 2}: {m} value {values[bad[0]]} is not finite",
             )
     return GranularTable(
-        index=np.asarray(zs, dtype=np.int64),
-        timestamps=tuple(stamps),
+        index=zs,
+        timestamps=stamps,
         timestamp_column=schema.timestamp_column,
-        keys={k: tuple(v) for k, v in zip(schema.key_columns, keys)},
+        keys=dict(zip(schema.key_columns, keys)),
         measurements=measurements,
     )
 
 
-def _read_fields(reader, positions: list[int], width: int, rows: list) -> DataError | None:
+def _read_fields(reader, positions: list[int], width: int, rows: list):
     """Append the fields at ``positions`` of each row to ``rows``, in order.
 
-    Reading stops at the first row too short for ``positions``: its fields
-    up to the first one it lacks end ``rows``, and its error is returned,
-    to be raised only when the rows before it are sound.
+    Reading stops at the first row too short for ``positions``, which is
+    not appended: its fields up to the first one it lacks are returned
+    with its error, or None when every row is complete.
     """
     pick = itemgetter(*positions) if len(positions) > 1 else lambda row: (row[positions[0]],)
     append = rows.append
@@ -210,47 +211,106 @@ def _read_fields(reader, positions: list[int], width: int, rows: list) -> DataEr
         for row in reader:
             append(pick(row))
     except IndexError:
-        append(tuple(row[p] for p in takewhile(len(row).__gt__, positions)))
-        return DataError(
+        return tuple(row[p] for p in takewhile(len(row).__gt__, positions)), DataError(
             "short-row",
-            f"row {len(rows) + 1}: {len(row)} fields, fewer than the header's {width}",
+            f"row {len(rows) + 2}: {len(row)} fields, fewer than the header's {width}",
         )
-    return None
+
+
+_INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
+
+
+def _checked(columns: list[tuple[str, ...]], fault: DataError | None,
+             schema: IngestionSchema, origin: datetime | None, step: timedelta | None):
+    """The stamps, indexes, keys and measurements of ``columns``, or the first faulty row's error.
+
+    ``columns`` hold the fields of the rows in schema order; ``fault`` is
+    the error of a short last row, whose missing fields leave their columns
+    one short, or of undecodable text after the rows. Each stage checks
+    only the rows before the first fault found so far.
+    """
+    count = max(map(len, columns))
+
+    def sound(*cols):
+        # only a short row's column is shorter than ``count``, and its error is then pending
+        nonlocal count
+        count = min(count, *map(len, cols))
+        return [col[:count] for col in cols]
+
+    def flag(row, kind: str, message: str) -> None:
+        nonlocal count, fault
+        count, fault = int(row), DataError(kind, f"row {row + 2}: {message}")
+
+    fmt = schema.timestamp_format
+    [stamps] = sound(columns[0])
+    if origin is None:
+        values, bad = _convert(int, stamps)
+        if bad is not None:
+            flag(bad, "unparseable-timestamp", f"{stamps[bad]!r} is not an index")
+        try:
+            zs = np.array(values, dtype=np.int64)
+        except OverflowError:  # an index of 2**63 or more, flagged below
+            zs = np.array(values, dtype=object)
+    else:
+        zs = _iso_offsets(stamps, fmt, origin, step)
+        if zs is None:
+            moments, bad = _convert(lambda s: datetime.strptime(s, fmt), stamps)
+            if bad is not None:
+                flag(bad, "unparseable-timestamp", f"{stamps[bad]!r} does not match {fmt!r}")
+            zs = np.array([(t - origin) // step for t in moments], dtype=np.int64)
+    out = np.flatnonzero((zs < 0) | (zs > _INDEX_MAX))
+    if len(out):
+        i, z = out[0], zs[out[0]]
+        if z > _INDEX_MAX:
+            flag(i, "index-overflow", f"index {z} exceeds {_INDEX_MAX}")
+        elif origin is None:
+            flag(i, "pre-origin", f"index {z} is negative")
+        else:
+            flag(i, "pre-origin", f"{stamps[i]!r} predates origin {schema.origin!r}")
+
+    nkeys = len(schema.key_columns)
+    zs, *keys = sound(zs, *columns[1 : 1 + nkeys])
+    zs = np.asarray(zs, dtype=np.int64)
+    dup = _first_duplicate(keys, zs)
+    if dup is not None:
+        fingerprint = (*(k[dup] for k in keys), int(zs[dup]))
+        flag(dup, "duplicate-row", f"duplicate keys/index {fingerprint}")
+
+    numbers = []
+    for col in columns[1 + nkeys :]:
+        [cells] = sound(col)
+        values, bad = _convert(float, cells, blank=math.nan)
+        if bad is not None:
+            flag(bad, "unparseable-measurement", f"{cells[bad].strip()!r} is not numeric")
+        numbers.append(np.array(values, dtype=np.float64))
+    if fault:
+        raise fault
+    return stamps, zs, keys, numbers
+
+
+def _convert(convert, cells: Sequence[str], blank=None) -> tuple[list, int | None]:
+    """``convert`` of each cell up to the first that raises ``ValueError``.
+
+    Returns the results and that cell's position, or None when there is
+    none. With ``blank``, an empty or whitespace cell gives ``blank``.
+    """
+    out, rest = [], iter(cells)
+    while True:
+        try:
+            out.extend(map(convert, rest))  # keeps the results before the cell that raises
+            return out, None
+        except ValueError:
+            if blank is None or cells[len(out)].strip():
+                return out, len(out)
+            out.append(blank)
 
 
 # strptime patterns with a fixed-width ISO 8601 form, which NumPy reads to the same instant
 _ISO_PATTERN = re.compile(r"%Y-%m-%d(?:[ T]%H(?::%M(?::%S)?)?)?")
 
 
-def _ingest_columns(rows: list[tuple[str, ...]], schema: IngestionSchema, origin, step):
-    """The columns of ``rows`` with whole-column checks, or None where the row loop must decide.
-
-    None means a format without a column path, or a row that the row loop
-    may reject or read differently.
-    """
-    if not rows:
-        return None
-    stamps, *rest = zip(*rows)
-    nkeys = len(schema.key_columns)
-    keys, cells = rest[:nkeys], rest[nkeys:]
-    if origin is None:
-        try:
-            zs = np.array(list(map(int, stamps)), dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
-    else:
-        zs = _iso_offsets(stamps, schema.timestamp_format, origin, step)
-    if zs is None or (zs < 0).any() or _has_duplicates(keys, zs):
-        return None
-    try:
-        values = [np.array([float(c) if c else math.nan for c in col]) for col in cells]
-    except ValueError:  # includes whitespace-only cells, which the row loop reads as missing
-        return None
-    return stamps, zs, keys, values
-
-
 def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: timedelta):
-    """Bottom-granule indexes of ``stamps`` by one ``datetime64`` conversion, or None.
+    """Bottom-granule offsets of ``stamps`` by one ``datetime64`` conversion, or None.
 
     None unless ``fmt`` has a fixed-width ISO 8601 form and every stamp
     has exactly that form: NumPy also reads spellings that strptime
@@ -276,83 +336,16 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
     return (moments - start) // np.timedelta64(int(step.total_seconds()), "s")
 
 
-def _has_duplicates(keys: list[tuple[str, ...]], zs: np.ndarray) -> bool:
-    """Whether two rows share their keys and index."""
+def _first_duplicate(keys: list[tuple[str, ...]], zs: np.ndarray) -> int | None:
+    """The first row, in file order, whose keys and index an earlier row has, or None."""
     columns = [zs]
     for col in keys:
         codes = {v: i for i, v in enumerate(dict.fromkeys(col))}
         columns.append(np.fromiter(map(codes.__getitem__, col), dtype=np.int64, count=len(col)))
-    order = np.lexsort(columns)
-    same = np.ones(len(zs) - 1, dtype=bool)
-    for c in columns:
-        c = c[order]
-        same &= c[1:] == c[:-1]
-    return bool(same.any())
-
-
-_INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
-
-
-def _ingest_rows(rows: list[tuple[str, ...]], schema: IngestionSchema, origin, step):
-    """The columns of ``rows``, read one row at a time; the first faulty row raises.
-
-    Each row holds the timestamp, key and measurement fields in schema
-    order; a short row's fields stop before the first it lacks, and
-    reading past them raises ``IndexError``.
-    """
-    fmt = schema.timestamp_format
-    key_at = range(1, 1 + len(schema.key_columns))
-    cell_at = range(key_at.stop, key_at.stop + len(schema.measurement_columns))
-    stamps: list[str] = []
-    zs: list[int] = []
-    keys: list[list[str]] = [[] for _ in key_at]
-    values: list[list[float]] = [[] for _ in cell_at]
-    seen: set[tuple] = set()
-    for lineno, row in enumerate(rows, start=2):
-        raw = row[0]
-        if origin is None:
-            try:
-                z = int(raw)
-            except ValueError:
-                raise DataError(
-                    "unparseable-timestamp", f"row {lineno}: {raw!r} is not an index"
-                ) from None
-            if z < 0:
-                raise DataError("pre-origin", f"row {lineno}: index {z} is negative")
-            if z > _INDEX_MAX:
-                raise DataError("index-overflow", f"row {lineno}: index {z} exceeds {_INDEX_MAX}")
-        else:
-            try:
-                ts = datetime.strptime(raw, fmt)
-            except ValueError:
-                raise DataError(
-                    "unparseable-timestamp", f"row {lineno}: {raw!r} does not match {fmt!r}"
-                ) from None
-            if ts < origin:
-                raise DataError(
-                    "pre-origin", f"row {lineno}: {raw!r} predates origin {schema.origin!r}"
-                )
-            z = int((ts - origin) // step)
-        fingerprint = tuple(row[i] for i in key_at) + (z,)
-        if fingerprint in seen:
-            raise DataError("duplicate-row", f"row {lineno}: duplicate keys/index {fingerprint}")
-        seen.add(fingerprint)
-        stamps.append(raw)
-        zs.append(z)
-        for col, i in zip(keys, key_at):
-            col.append(row[i])
-        for col, i in zip(values, cell_at):
-            cell = row[i].strip()
-            if not cell:
-                col.append(math.nan)
-                continue
-            try:
-                col.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    "unparseable-measurement", f"row {lineno}: {cell!r} is not numeric"
-                ) from None
-    return stamps, zs, keys, values
+    order = np.lexsort(columns)  # stable, so equal rows stay in file order
+    same = np.logical_and.reduce([np.diff(c[order]) == 0 for c in columns])
+    later = order[1:][same]  # each row after the first of its group
+    return int(later.min()) if len(later) else None
 
 
 def enumerate_cyclic(
@@ -397,6 +390,7 @@ def augment(
 @contextmanager
 def csv_writer(out, delimiter: str = ","):
     """A ``csv.writer`` on ``out``: a path, opened here and closed on exit, or an open handle."""
+    check_delimiter(delimiter)  # before ``out`` is opened
     own = isinstance(out, (str, Path))
     with open(out, "w", encoding="utf-8", newline="") if own else nullcontext(out) as handle:
         yield csv.writer(handle, delimiter=delimiter, lineterminator="\n")

@@ -114,7 +114,7 @@ def test_output_bytes_are_pinned(workdir, tmp_path, argv, digest):
 
 
 def test_granularity_list_uses_delimiter(session, tmp_path):
-    out = tmp_path / "list.csv"
+    out = tmp_path / "nodir" / "list.csv"  # the parent is made, as for every --out
     argv = ["granularity", "list", "--config", str(session / "smart_meter.ini")]
     assert cli.run([*argv, "--delimiter", ";", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("name;kind;levels;lower;upper\n")
@@ -175,6 +175,26 @@ FAULTS = {
         "bad-schema exit=3: origin '2012-01-01' does not match timestamp_format '%Y-%m-%d %H:%M'",
     ),
     **{
+        f"delimiter-{name}": (
+            {}, ["harmony", "--delimiter", delimiter], 3,
+            f"bad-delimiter exit=3: delimiter {delimiter!r} is not one character",
+        )
+        for name, delimiter in (("double", ";;"), ("empty", ""))
+    },
+    "schema-delimiter": (
+        {"ini": ("measurements = kwh", "measurements = kwh\ndelimiter = ;;")},
+        ["harmony"],
+        3,
+        "bad-delimiter exit=3: delimiter ';;' is not one character",
+    ),
+    **{
+        f"out-directory-{name}": (
+            {"out": "directory"}, COMMANDS[name], 3, "bad-output exit=3: output path "
+        )
+        for name in ("granularity-list", "granularity-compute", "harmony-observed", "summarize",
+                     "plot-spec")
+    },
+    **{
         f"span-{span}": (
             {},
             ["harmony", "--mode", "structural", "--span", span],
@@ -188,9 +208,14 @@ FAULTS = {
 
 @pytest.mark.parametrize("edit,argv,code,error", FAULTS.values(), ids=FAULTS.keys())
 def test_fault_is_one_typed_error(session, tmp_path, capsys, edit, argv, code, error):
+    edit, out = dict(edit), tmp_path / "out"
+    out_is_directory = edit.pop("out", None) == "directory"
+    if out_is_directory:
+        out.mkdir()
     config = edited(session, tmp_path, **edit)
-    assert cli.run([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    assert cli.run([*argv, "--config", str(config), "--out", str(out)]) == code
     lines = error_lines(capsys)
     assert len(lines) == 1
     assert lines[0].startswith(f"error kind={error}")
-    assert not (tmp_path / "out").exists()
+    # nothing is written: no file, and no entry in a directory named by --out
+    assert not any(out.iterdir()) if out_is_directory else not out.exists()

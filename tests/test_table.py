@@ -148,8 +148,7 @@ class TestIngest:
         ("%Y-%m-%d %H:%M:%S", "2012-01-01 00:00:00", "15m"),
         ("index", "", ""),
     ])
-    def test_clean_files_skip_the_row_loop(self, gregorian, monkeypatch, fmt, origin, step):
-        monkeypatch.setattr(table, "_ingest_rows", None)
+    def test_clean_files_skip_the_row_loop(self, gregorian, fmt, origin, step):
         schema = IngestionSchema("timestamp", fmt, origin, step, ("customer",), ("kwh",))
         zs = range(0, 3000, 7)
         stamps = [str(z) if fmt == "index" else
@@ -221,6 +220,21 @@ class TestIngest:
         assert err.value.kind == kind
         assert err.value.message.startswith(f"row {row}:")
 
+    @pytest.mark.parametrize("rows, kind", [
+        (["yesterday,c1,x"], "unparseable-timestamp"),
+        (["2011-12-31 23:30,c1,x"], "pre-origin"),
+        (["yesterday"], "unparseable-timestamp"),
+        (["2012-01-01 00:00"], "short-row"),
+        (["2012-01-01 00:00,c1,0.5", "2012-01-01 00:00,c1,x"], "duplicate-row"),
+        (["2012-01-01 00:00,c1,0.5", "2012-01-01 00:00,c1"], "duplicate-row"),
+    ], ids=["timestamp-then-measurement", "pre-origin-then-measurement", "timestamp-then-short",
+            "short-key", "duplicate-then-measurement", "duplicate-then-short"])
+    def test_faults_of_one_row_reported_in_check_order(self, gregorian, rows, kind):
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == kind
+        assert (kind, err.value.message) == ingest_oracle(["timestamp,customer,kwh", *rows], SCHEMA)
+
     def test_index_format(self, cricket, cricket_table):
         assert len(cricket_table) == (6 + 8 + 7 + 9) * 2 * 20 * 6
         assert cricket_table.index.min() == 0
@@ -230,7 +244,7 @@ class TestIngest:
 
 ORIGIN = datetime(2012, 1, 1)
 STAMP_SPELLINGS = {
-    # strptime accepts these two; the second needs the row loop
+    # strptime accepts these two; the second fails the ISO shape check, so strptime reads it
     "iso": lambda t: t.strftime("%Y-%m-%d %H:%M"),
     "unpadded": lambda t: f"{t.year}-{t.month}-{t.day} {t.hour}:{t.minute}",
     # faults; NumPy reads the first five, which strptime rejects
@@ -242,6 +256,18 @@ STAMP_SPELLINGS = {
     "no-such-day": lambda t: "2012-02-30 00:00",
     "pre-origin": lambda t: "2011-12-31 23:30",
 }
+DAY_FIRST_SPELLINGS = {
+    # strptime accepts these two; no datetime64 conversion reads the pattern
+    "day-first": lambda t: t.strftime("%d/%m/%Y %H:%M"),
+    "unpadded": lambda t: f"{t.day}/{t.month}/{t.year} {t.hour}:{t.minute}",
+    # faults
+    "iso": lambda t: t.strftime("%Y-%m-%d %H:%M"),
+    "seconds": lambda t: t.strftime("%d/%m/%Y %H:%M:%S"),
+    "padded": lambda t: t.strftime(" %d/%m/%Y %H:%M"),
+    "bare-date": lambda t: t.strftime("%d/%m/%Y"),
+    "no-such-day": lambda t: "30/02/2012 00:00",
+    "pre-origin": lambda t: "31/12/2011 23:30",
+}
 INDEX_SPELLINGS = {
     "plain": str, "padded": lambda z: f" {z}", "signed": lambda z: f"+{z}",
     "underscored": lambda z: f"{z:_}", "negative": lambda z: f"-{z + 1}",
@@ -251,10 +277,18 @@ INDEX_SPELLINGS = {
 CELLS = ["0.5", "1.25", "", "nan", " 0.75", "1_000", "inf", "-inf", "1e999", "abc", " "]
 
 
+FORMATS = {
+    "strptime": (SCHEMA, STAMP_SPELLINGS),
+    "index": (IngestionSchema("timestamp", "index", key_columns=("customer",),
+                              measurement_columns=("kwh",)), INDEX_SPELLINGS),
+    "day-first": (IngestionSchema("timestamp", "%d/%m/%Y %H:%M", "01/01/2012 00:00", "30m",
+                                  ("customer",), ("kwh",)), DAY_FIRST_SPELLINGS),
+}
+
+
 @st.composite
-def meter_files(draw, by_index):
+def meter_files(draw, spellings, by_index):
     """Lines of a half-hourly meter file: mostly sound rows, some perturbed ones."""
-    spellings = INDEX_SPELLINGS if by_index else STAMP_SPELLINGS
     sound, base = draw(st.booleans()), draw(st.sampled_from(list(spellings)[:2]))
     start, stride = draw(st.integers(0, 20000)), draw(st.integers(1, 3))
     order = draw(st.permutations(["timestamp", "customer", "kwh"]))
@@ -303,11 +337,10 @@ class TestIngestMatchesOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    @pytest.mark.parametrize("by_index", [False, True], ids=["strptime", "index"])
-    def test_same_table_or_error(self, gregorian, path, by_index, data):
-        lines = data.draw(meter_files(by_index))
-        schema = IngestionSchema("timestamp", "index", key_columns=("customer",),
-                                 measurement_columns=("kwh",)) if by_index else SCHEMA
+    @pytest.mark.parametrize("form", FORMATS)
+    def test_same_table_or_error(self, gregorian, path, form, data):
+        schema, spellings = FORMATS[form]
+        lines = data.draw(meter_files(spellings, schema.timestamp_format == "index"))
         expected = ingest_oracle(lines, schema)
         if len(expected) == 4:
             expected = (*expected[:3], nan_as_none(expected[3]))
@@ -431,3 +464,19 @@ def test_export_contains_cyclic_columns(gregorian):
     assert lines[0] == "timestamp,customer,index,kwh,halfhour_day"
     assert lines[1] == "2012-01-01 00:00,c1,0,0.5,0"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_bad_delimiter_rejected(gregorian, tmp_path, delimiter):
+    with pytest.raises(ValidationError) as err:
+        IngestionSchema("timestamp", "index", delimiter=delimiter)
+    assert (err.value.kind, err.value.message) == (
+        "bad-delimiter", f"delimiter {delimiter!r} is not one character")
+    # a writer rejects it before it opens, so an existing file keeps its bytes
+    t = ingest(make_csv(["2012-01-01 00:00,c1,0.5"]), SCHEMA, gregorian.hierarchy)
+    out = tmp_path / "table.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        export_table(t, out, delimiter=delimiter)
+    assert err.value.kind == "bad-delimiter"
+    assert out.read_text(encoding="utf-8") == "kept\n"
