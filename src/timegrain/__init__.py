@@ -22,6 +22,7 @@ from .cyclic import (
 )
 from .distill import (
     DEFAULT_PROBS,
+    CellSummaries,
     CellSummary,
     LevelsCategory,
     PlotSpec,

@@ -57,7 +57,10 @@ def _output_path(args, cfg: SessionConfig, default: str) -> Path:
     out = Path(args.out) if args.out else _out_dir(args, cfg) / default
     if out.is_dir():
         raise ValidationError("bad-output", f"output path {out} is a directory")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValidationError("bad-output", f"output path {out} lies under a file") from None
     return out
 
 
@@ -163,7 +166,7 @@ def cmd_summarize(args) -> int:
     )
     out = _output_path(args, cfg, "summary.csv")
     write_summaries(summaries, out, delimiter=args.delimiter)
-    print(f"wrote {out} ({sum(1 for s in summaries if s.n > 0)} occupied cells)")
+    print(f"wrote {out} ({len(summaries.mean)} occupied cells)")
     return 0
 
 

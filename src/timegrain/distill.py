@@ -5,17 +5,29 @@ extremes, and quantiles at configured probabilities (linear interpolation
 of order statistics, the common type-7 rule). Summaries feed a plotting
 recommendation and a self-contained plot-spec document; rendering
 geometry to pixels is explicitly someone else's job.
+
+Summaries are columns, not records: ``summarize_cells`` returns one
+``CellSummaries`` (layout in its docstring). ``emit_plot_spec`` reads
+empty and small cells off the count column and checks each distinct
+quantile grid once. ``PlotSpec.to_json`` and ``write_summaries`` format
+whole columns: each label is JSON-encoded or CSV-quoted once per level,
+each distinct probability formatted once, the values by one pass over
+their column, and each document is one ``%`` or ``join``. Iterating over
+a ``CellSummaries`` yields ``CellSummary`` records, made on demand; the
+writers never do.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from statistics import NormalDist
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +35,7 @@ from .calfile import Calendar
 from .cyclic import CyclicDescriptor, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
-from .table import GranularTable, csv_writer
+from .table import GranularTable, check_delimiter, text_out
 
 # quantile bands: 1-99, 10-90, and 25-75 around the median
 DEFAULT_PROBS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -40,8 +52,7 @@ _LV_Z = NormalDist().inv_cdf(0.975)
 _LV_DEPTH = 4
 
 
-@dataclass(frozen=True)
-class CellSummary:
+class CellSummary(NamedTuple):
     """Distribution statistics for one (facet level, x level) cell."""
 
     facet_level: int
@@ -53,6 +64,54 @@ class CellSummary:
     minimum: float | None
     maximum: float | None
     quantiles: tuple[tuple[float, float], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class CellSummaries:
+    """Statistics of every (facet level, x level) cell, as columns.
+
+    The label tuples give the level counts. Cell ``c`` is facet level
+    ``c // len(x_labels)`` and x level ``c % len(x_labels)``; ``n`` has
+    one count per cell, empty cells included.
+    The occupied cells (``n > 0``), in cell order, have one entry each in
+    ``mean``, ``minimum`` and ``maximum``, and the ``i``-th of them has its
+    quantiles at ``probs[offsets[i]:offsets[i + 1]]``, ascending, with
+    their values at the same places in ``values``.
+    """
+
+    facet_labels: tuple[str, ...]
+    x_labels: tuple[str, ...]
+    n: np.ndarray
+    mean: np.ndarray
+    minimum: np.ndarray
+    maximum: np.ndarray
+    probs: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __iter__(self) -> Iterator[CellSummary]:
+        flabels, xlabels = self.facet_labels, self.x_labels
+        kx = len(xlabels)
+        # the quantiles are read off the columns a cell at a time
+        probs, values = iter(memoryview(self.probs)), iter(memoryview(self.values))
+        stats = zip(self.mean.tolist(), self.minimum.tolist(), self.maximum.tolist(),
+                    np.diff(self.offsets).tolist())
+        for c, count in enumerate(self.n.tolist()):
+            f, x = divmod(c, kx)
+            if count == 0:
+                yield CellSummary(f, flabels[f], x, xlabels[x], 0, None, None, None, ())
+                continue
+            mean, lo, hi, width = next(stats)
+            yield CellSummary(f, flabels[f], x, xlabels[x], count, mean, lo, hi,
+                              tuple(zip(islice(probs, width), islice(values, width))))
+
+    def grids(self) -> set[tuple[float, ...]]:
+        """The distinct probability grids of the occupied cells."""
+        probs = self.probs.tolist()
+        return {tuple(probs[a:b]) for a, b in pairwise(self.offsets.tolist())}
 
 
 @dataclass(frozen=True)
@@ -90,78 +149,105 @@ class Recommendation:
         return "\n".join(lines) + "\n"
 
 
-# one entry of a plot spec's "cells" list as ``json.dumps(indent=2)`` writes it,
-# up to its quantile pairs
-_CELL_JSON = (
-    "\n    {"
-    '\n      "facet_level": %s,'
-    '\n      "facet_label": %s,'
-    '\n      "x_level": %s,'
-    '\n      "x_label": %s,'
-    '\n      "n": %s,'
-    '\n      "mean": %s,'
-    '\n      "min": %s,'
-    '\n      "max": %s,'
-    '\n      "quantiles": '
-)
-_PAIR_JSON = "\n        [\n          %s,\n          %s\n        ]"
+def _objects(items: Iterable) -> np.ndarray:
+    """A 1-d object array of ``items`` (strings or numbers), for placing them by index."""
+    return np.array(list(items), dtype=object)
 
 
-def _cells_json(cells: list[dict]) -> str:
-    """The "cells" list of a plot spec, byte for byte as ``json.dumps(indent=2)``.
+def _distinct(col: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct floats of ``col`` by bit pattern, and each entry's index among them."""
+    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    return bits.view(np.float64).tolist(), inverse
 
-    Each cell has the keys, key order and value types that
-    ``emit_plot_spec`` writes: ints, strings, floats or None, and
-    [probability, value] pairs. Numbers are written with ``int.__repr__``
-    and ``float.__repr__`` as ``json`` does, so a non-finite one comes out
-    as ``inf`` or ``nan``, for the caller to refuse.
+
+# the "quantiles" pair of a plot-spec cell as ``json.dumps(indent=2)`` writes it
+_PAIR_JSON = "\n        [\n          %r,\n          %r\n        ]"
+
+
+def _cell_json(width: int) -> str:
+    """The ``%`` template of a "cells" entry with ``width`` quantile pairs, -1 for an empty cell.
+
+    Its slots are the cell's facet part and x part (see ``PlotSpec.to_json``),
+    then, for an occupied cell, n, mean, min and max, and each pair's
+    probability and value.
     """
-    templates: dict[int, str] = {}  # by number of quantile pairs
-    parts = []
-    for c in cells:
-        pairs, mean, lo, hi = c["quantiles"], c["mean"], c["min"], c["max"]
-        k = len(pairs)
-        if k not in templates:
-            quantiles = "[" + ",".join([_PAIR_JSON] * k) + "\n      ]" if k else "[]"
-            templates[k] = _CELL_JSON + quantiles + "\n    }"
-        parts.append(templates[k] % (
-            int.__repr__(c["facet_level"]), encode_basestring_ascii(c["facet_label"]),
-            int.__repr__(c["x_level"]), encode_basestring_ascii(c["x_label"]),
-            int.__repr__(c["n"]),
-            "null" if mean is None else float.__repr__(mean),
-            "null" if lo is None else float.__repr__(lo),
-            "null" if hi is None else float.__repr__(hi),
-            *map(float.__repr__, chain.from_iterable(pairs)),
-        ))
-    return "[" + ",".join(parts) + "\n  ]" if parts else "[]"
+    if width < 0:
+        return ('%s%s0,\n      "mean": null,\n      "min": null,\n      "max": null,'
+                '\n      "quantiles": []\n    }')
+    pairs = "[" + ",".join([_PAIR_JSON] * width) + "\n      ]" if width else "[]"
+    return ('%s%s%r,\n      "mean": %r,\n      "min": %r,\n      "max": %r,'
+            '\n      "quantiles": ' + pairs + "\n    }")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlotSpec:
-    """Declarative visualization document with the summarized data embedded."""
+    """Declarative visualization document with the summarized data embedded.
 
-    document: dict
+    ``head`` holds every key of the document but the last, "cells", whose
+    entries ``cells`` holds as columns: one entry per cell, in cell order,
+    with its levels, labels, n, mean, min, max and [probability, value]
+    quantile pairs (null statistics and no pairs for an empty cell).
+    """
+
+    head: dict
+    cells: CellSummaries
 
     def to_json(self) -> str:
-        """``json.dumps(document, indent=2, allow_nan=False)`` plus a newline.
+        """The document as ``json.dumps(indent=2, allow_nan=False)`` writes it, plus a newline.
 
-        The fixed-shape "cells" list is written from templates; the rest of
-        the document goes through ``json.dumps``. A non-finite number raises
-        the ``ValueError`` that ``json.dumps`` raises.
+        The head goes through ``json.dumps``. The whole text is then one
+        ``%`` of one template: each level's part of a cell is made once,
+        and numbers fill ``%r`` slots, which write ints and floats as
+        ``json`` does. A non-finite number raises ``json.dumps``'s
+        ``ValueError``, naming the first in document order (the records
+        are searched only then).
         """
-        head = json.dumps({**self.document, "cells": []}, indent=2, allow_nan=False)
-        cells = self.document["cells"]
-        text = _cells_json(cells)
-        if "inf" in text or "nan" in text:  # a float's repr holds neither unless non-finite
-            for c in cells:
-                for v in (c["mean"], c["min"], c["max"], *chain.from_iterable(c["quantiles"])):
-                    if v is not None and not math.isfinite(v):
-                        raise ValueError(
-                            f"Out of range float values are not JSON compliant: {v!r}"
-                        )
+        s = self.cells
+        if not all(np.isfinite(col).all() for col in (s.mean, s.minimum, s.maximum, s.probs,
+                                                       s.values)):
+            bad = next(v for c in s for v in (c.mean, c.minimum, c.maximum, *chain(*c.quantiles))
+                       if v is not None and not math.isfinite(v))
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        head = json.dumps({**self.head, "cells": []}, indent=2, allow_nan=False)
         # only a top-level key sits at indent 2 after a raw newline
         at = head.index('\n  "cells": []') + len('\n  "cells": ')
-        return "".join((head[:at], text, head[at + 2 :], "\n"))
+        before, after = head[:at].replace("%", "%%"), head[at + 2 :].replace("%", "%%") + "\n"
+        if not len(s):
+            return before + "[]" + after
+        facet_parts = _objects(
+            f'\n    {{\n      "facet_level": {f},\n      "facet_label": {encode_basestring_ascii(label)},'
+            '\n      "x_level": '
+            for f, label in enumerate(s.facet_labels)
+        )
+        x_parts = _objects(
+            f'{x},\n      "x_label": {encode_basestring_ascii(label)},\n      "n": '
+            for x, label in enumerate(s.x_labels)
+        )
+        occupied = np.flatnonzero(s.n)
+        width = np.diff(s.offsets)
+        slots = np.full(len(s), 2)
+        slots[occupied] += 4 + 2 * width
+        first = np.cumsum(slots) - slots
+        args = np.empty(int(slots.sum()), dtype=object)
+        f, x = np.divmod(np.arange(len(s)), len(s.x_labels))
+        args[first] = facet_parts[f]
+        args[first + 1] = x_parts[x]
+        at = first[occupied]
+        for k, col in enumerate((s.n[occupied], s.mean, s.minimum, s.maximum), 2):
+            args[at + k] = col.tolist()
+        # quantile j of occupied cell i fills slots at[i] + 6 + 2 j and the next
+        pair = np.repeat(at + 6 - 2 * s.offsets[:-1], width) + 2 * np.arange(len(s.values))
+        probs, which = _distinct(s.probs)
+        args[pair] = _objects(probs)[which]
+        args[pair + 1] = s.values.tolist()
+        shape = np.full(len(s), -1)
+        shape[occupied] = width
+        templates = {w: _cell_json(w) for w in set(shape.tolist())}
+        cells = list(map(templates.__getitem__, shape.tolist()))
+        cells[0] = before + "[" + cells[0]
+        cells[-1] += "\n  ]" + after
+        return ",".join(cells) % tuple(args)
 
 
 def letter_value_probabilities(n: int) -> tuple[float, ...]:
@@ -195,8 +281,8 @@ def summarize_cells(
     response: str,
     probs: Sequence[float] = DEFAULT_PROBS,
     letter_values: bool = False,
-) -> list[CellSummary]:
-    """One CellSummary per (facet level, x level), empty cells included.
+) -> CellSummaries:
+    """The statistics of every (facet level, x level) cell, as columns.
 
     Requires the x and facet columns to be present (augment first).
     Missing responses drop out of their cell's count. With
@@ -207,7 +293,8 @@ def summarize_cells(
     are read at segment offsets with NumPy's own type-7 arithmetic
     (virtual index (n - 1) * p, floor, clamp at n - 1, and ``_lerp``'s
     ``b - diff * (1 - t)`` form for t >= 0.5). Each mean is one
-    ``np.add.reduce`` over the segment. Every statistic equals per-cell
+    ``np.add.reduce`` over the segment (``np.add.reduceat`` sums in
+    another order, so not bit for bit). Every statistic equals per-cell
     ``np.sort`` / ``np.quantile`` / ``mean`` bit for bit. A -0.0 is read
     as 0.0, so no statistic depends on row order.
     """
@@ -227,19 +314,23 @@ def summarize_cells(
     counts = np.diff(bounds)
     occupied = np.flatnonzero(counts)
     start, n = bounds[occupied], counts[occupied]
+    end = start + n
 
+    # each occupied cell reads one of a few grids: ``grids[which[i]]``
     if letter_values:
         # the grid depends on n only through its depth, max(1, ceil(log2 n) - 1)
         depth = np.maximum(np.frexp(n - 1)[1] - 1, 1)
         _, first, which = np.unique(depth, return_index=True, return_inverse=True)
-        by_depth = [letter_value_probabilities(m) for m in n[first].tolist()]
-        grids = [by_depth[d] for d in which.tolist()]
+        grids = [letter_value_probabilities(m) for m in n[first].tolist()]
     else:
-        grids = [probs] * len(n)
+        grids, which = [probs], np.zeros(len(n), dtype=np.intp)
+    sizes = np.fromiter(map(len, grids), dtype=np.intp, count=len(grids))
+    width = sizes[which]
+    offsets = np.concatenate(([0], np.cumsum(width)))
     # one flat entry per (occupied cell, probability)
-    width = np.fromiter(map(len, grids), dtype=np.intp, count=len(grids))
     cell = np.repeat(np.arange(len(n)), width)
-    p = np.fromiter(chain.from_iterable(grids), dtype=np.float64, count=len(cell))
+    at = (np.cumsum(sizes) - sizes)[which] - offsets[:-1]
+    p = np.fromiter(chain(*grids), dtype=np.float64)[np.repeat(at, width) + np.arange(len(cell))]
     m = n[cell]
     virtual = (m - 1) * p
     floor = np.floor(virtual)
@@ -248,27 +339,19 @@ def summarize_cells(
     a = vals[below]
     b = vals[below + (floor < m - 1)]
     diff = b - a
-    qs = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac).tolist()
-
-    stats = zip(start.tolist(), vals[start].tolist(), vals[start + n - 1].tolist(), grids)
-    flabels, xlabels = label_list(facet), label_list(x)
-    out: list[CellSummary] = []
-    at = 0
-    for c, count in enumerate(counts.tolist()):
-        f, xv = divmod(c, x.levels)
-        if count == 0:
-            out.append(CellSummary(f, flabels[f], xv, xlabels[xv], 0, None, None, None, ()))
-            continue
-        s, lo, hi, grid = next(stats)
-        out.append(
-            CellSummary(
-                f, flabels[f], xv, xlabels[xv], count,
-                float(np.add.reduce(vals[s : s + count])) / count, lo, hi,
-                tuple(zip(grid, qs[at : at + len(grid)])),
-            )
-        )
-        at += len(grid)
-    return out
+    segments = map(vals.__getitem__, map(slice, start.tolist(), end.tolist()))
+    sums = np.fromiter(map(np.add.reduce, segments), dtype=np.float64, count=len(n))
+    return CellSummaries(
+        facet_labels=tuple(label_list(facet)),
+        x_labels=tuple(label_list(x)),
+        n=counts,
+        mean=sums / n,
+        minimum=vals[start],
+        maximum=vals[end - 1],
+        probs=p,
+        values=np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac),
+        offsets=offsets,
+    )
 
 
 def categorize_levels(n_levels: int) -> LevelsCategory:
@@ -335,12 +418,8 @@ def recommend(
     )
 
 
-def _probs_of(summaries: Sequence[CellSummary]) -> list[tuple[float, ...]]:
-    return [tuple(p for p, _ in s.quantiles) for s in summaries if s.n > 0]
-
-
-def _require_probs(summaries, needed, geometry):
-    for probs in set(_probs_of(summaries)):
+def _require_probs(grids, needed, geometry):
+    for probs in grids:
         if any(all(abs(p - q) > 1e-12 for q in probs) for p in needed):
             raise ComputationError(
                 "unsupported-geometry",
@@ -349,7 +428,7 @@ def _require_probs(summaries, needed, geometry):
 
 
 def emit_plot_spec(
-    summaries: Sequence[CellSummary],
+    summaries: CellSummaries,
     x: CyclicDescriptor,
     facet: CyclicDescriptor,
     response: str,
@@ -361,9 +440,11 @@ def emit_plot_spec(
 
     Refuses when empty cells are present (clash structure) unless
     ``force`` is set; refuses geometries whose statistics are not
-    computed here (density estimation is out of scope).
+    computed here (density estimation is out of scope). The quantile
+    checks run once per distinct probability grid; the empty and small
+    cells are read off the count column.
     """
-    if not summaries:
+    if not len(summaries):
         raise ValidationError("empty-summaries", "nothing to plot")
     if geometry not in GEOMETRIES:
         raise ValidationError("unknown-geometry", f"geometry {geometry!r} not in {GEOMETRIES}")
@@ -373,9 +454,9 @@ def emit_plot_spec(
             "violin-like-density needs density estimates, which are not computed here",
         )
     if geometry == "box":
-        _require_probs(summaries, (0.25, 0.5, 0.75), geometry)
+        _require_probs(summaries.grids(), (0.25, 0.5, 0.75), geometry)
     if geometry == "letter-value-counts":
-        for probs in set(_probs_of(summaries)):
+        for probs in summaries.grids():
             symmetric = all(any(abs((1 - p) - q) < 1e-12 for q in probs) for p in probs)
             if 0.5 not in probs or not symmetric:
                 raise ComputationError(
@@ -383,24 +464,27 @@ def emit_plot_spec(
                     "letter-value-counts needs nested symmetric quantile pairs "
                     "(summarize with letter_values=True)",
                 )
-    empties = [s for s in summaries if s.n == 0]
+    flabels, xlabels = summaries.facet_labels, summaries.x_labels
+    kx = len(xlabels)
+    n = summaries.n
+    empties = np.flatnonzero(n == 0).tolist()
     if empties and not force:
-        cells = ", ".join(f"(x={s.x_label}, facet={s.facet_label})" for s in empties[:8])
+        cells = ", ".join(f"(x={xlabels[c % kx]}, facet={flabels[c // kx]})" for c in empties[:8])
         raise ComputationError(
             "clash-refusal",
             f"{len(empties)} empty level combinations (e.g. {cells}); "
             "pick a harmony pair or force emission",
         )
     all_warnings = list(warnings)
-    for s in summaries:
-        if 0 < s.n < SMALL_CELL_N:
-            all_warnings.append(
-                f"small cell: facet={s.facet_label} x={s.x_label} n={s.n}"
-            )
+    small = np.flatnonzero((n > 0) & (n < SMALL_CELL_N))
+    all_warnings.extend(
+        f"small cell: facet={flabels[c // kx]} x={xlabels[c % kx]} n={count}"
+        for c, count in zip(small.tolist(), n[small].tolist())
+    )
     if empties:
         all_warnings.append(f"forced emission with {len(empties)} empty cells")
 
-    document = {
+    head = {
         "plot_spec_version": 1,
         "response": response,
         "geometry": geometry,
@@ -416,37 +500,64 @@ def emit_plot_spec(
             "levels": facet.levels,
             "labels": label_list(facet),
         },
-        "quantile_probabilities": sorted(
-            {p for s in summaries for p, _ in s.quantiles}
-        ),
+        "quantile_probabilities": sorted(set(summaries.probs.tolist())),
         "warnings": all_warnings,
-        "cells": [
-            {
-                "facet_level": s.facet_level,
-                "facet_label": s.facet_label,
-                "x_level": s.x_level,
-                "x_label": s.x_label,
-                "n": s.n,
-                "mean": s.mean,
-                "min": s.minimum,
-                "max": s.maximum,
-                "quantiles": list(map(list, s.quantiles)),
-            }
-            for s in summaries
-        ],
     }
-    return PlotSpec(document)
+    return PlotSpec(head, summaries)
 
 
-def write_summaries(summaries: Sequence[CellSummary], out, delimiter: str = ",") -> None:
-    """Long-format export: facet, x, prob, value, n (one empty row per empty cell)."""
-    with csv_writer(out, delimiter) as writer:
-        writer.writerow(["facet", "x", "prob", "value", "n"])
-        for s in summaries:
-            if s.n == 0:
-                writer.writerow([s.facet_label, s.x_label, "", "", 0])
-                continue
-            for p, v in s.quantiles:
-                writer.writerow(
-                    [s.facet_label, s.x_label, format(p, "g"), format(v, ".12g"), s.n]
-                )
+# every character of a number as ``format`` writes it: "-1.5e+20", "inf", "nan"
+_NUMBER_CHARS = frozenset("0123456789.+-einfa")
+
+_SUMMARY_HEADER = ("facet", "x", "prob", "value", "n")
+
+
+def _csv_quoter(delimiter: str):
+    """``csv.writer``'s form of one field of a row of several, ``delimiter`` between them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+
+    def quote(field: str) -> str:
+        if not field:  # csv quotes an empty field only when it is the whole row
+            return field
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((field,))
+        return buf.getvalue()[:-1]
+
+    return quote
+
+
+def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None:
+    """Long-format export: facet, x, prob, value, n (one empty row per empty cell).
+
+    The text is ``csv.writer``'s (``delimiter``, ``\\n`` line ends) for
+    one row per quantile of each occupied cell, the probability as
+    ``format(p, "g")`` and the value as ``format(v, ".12g")``, and one row
+    with blank probability and value and n 0 per empty cell. Each label is
+    quoted once per level and each distinct probability formatted once. A
+    formatted number holds only ``_NUMBER_CHARS``, so csv quotes numbers
+    only when the delimiter is one of them.
+    """
+    check_delimiter(delimiter)  # before ``out`` is opened
+    s, d = summaries, delimiter
+    quote = _csv_quoter(d)
+    number = quote if d in _NUMBER_CHARS else str
+    # one row per quantile of an occupied cell, one row for an empty cell
+    lines = np.ones(len(s), dtype=np.intp)
+    lines[s.n > 0] = np.diff(s.offsets)
+    row_cell = np.repeat(np.arange(len(s)), lines)
+    filled = s.n[row_cell] > 0
+    # a row is "facet,x," + "prob," + "value" + ",n\n", the first and last made per cell
+    fs, xs = ([quote(label) + d for label in labels] for labels in (s.facet_labels, s.x_labels))
+    lead = _objects(f + x for f in fs for x in xs)
+    pieces = np.empty((len(row_cell), 4), dtype=object)
+    pieces[:, 0] = lead[row_cell]
+    pieces[:, 3] = _objects(d + number(str(c)) + "\n" for c in s.n.tolist())[row_cell]
+    probs, which = _distinct(s.probs)
+    pieces[filled, 1] = _objects(number(format(p, "g")) + d for p in probs)[which]
+    pieces[filled, 2] = _objects(map(number, map(format, s.values.tolist(), repeat(".12g"))))
+    pieces[~filled, 1:3] = ("", d)
+    with text_out(out) as handle:
+        handle.write(d.join(map(quote, _SUMMARY_HEADER)) + "\n")
+        handle.write("".join(pieces.ravel().tolist()))

@@ -119,7 +119,9 @@ def ingest(
     origin; the original strings are retained as a presentation column.
     A path that cannot be opened (a directory, say), or a file that is not
     UTF-8, is rejected as a whole; an ``origin`` that ``timestamp_format``
-    cannot read is a ``ValidationError``.
+    cannot read is a ``ValidationError``. A row that ``csv`` cannot read
+    (a field over ``csv.field_size_limit()``) is a row fault like the
+    others below, ``unreadable-row``.
 
     The needed fields are read in one pass and checked a column at a time,
     in the order a row is checked: its timestamp (unparseable, before the
@@ -148,6 +150,8 @@ def ingest(
             header = next(reader)
         except StopIteration:
             raise DataError("empty-file", "source has no header row") from None
+        except csv.Error as exc:
+            raise DataError("unreadable-row", f"row 1: {exc}") from None
         for col in names:
             if col not in header:
                 raise DataError("unknown-column", f"column {col!r} missing from header")
@@ -203,7 +207,9 @@ def _read_fields(reader, positions: list[int], width: int, rows: list):
 
     Reading stops at the first row too short for ``positions``, which is
     not appended: its fields up to the first one it lacks are returned
-    with its error, or None when every row is complete.
+    with its error. Reading also stops at a row that ``csv`` cannot read
+    (a field over ``csv.field_size_limit()``, say): no fields and its
+    error are returned. None when every row is read.
     """
     pick = itemgetter(*positions) if len(positions) > 1 else lambda row: (row[positions[0]],)
     append = rows.append
@@ -215,6 +221,8 @@ def _read_fields(reader, positions: list[int], width: int, rows: list):
             "short-row",
             f"row {len(rows) + 2}: {len(row)} fields, fewer than the header's {width}",
         )
+    except csv.Error as exc:
+        return (), DataError("unreadable-row", f"row {len(rows) + 2}: {exc}")
 
 
 _INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
@@ -388,11 +396,18 @@ def augment(
 
 
 @contextmanager
-def csv_writer(out, delimiter: str = ","):
-    """A ``csv.writer`` on ``out``: a path, opened here and closed on exit, or an open handle."""
-    check_delimiter(delimiter)  # before ``out`` is opened
+def text_out(out):
+    """``out`` for writing text: a path, opened here as UTF-8 and closed on exit, or an open handle."""
     own = isinstance(out, (str, Path))
     with open(out, "w", encoding="utf-8", newline="") if own else nullcontext(out) as handle:
+        yield handle
+
+
+@contextmanager
+def csv_writer(out, delimiter: str = ","):
+    """A ``csv.writer`` on ``text_out(out)``, ``\\n`` ending each row."""
+    check_delimiter(delimiter)  # before ``out`` is opened
+    with text_out(out) as handle:
         yield csv.writer(handle, delimiter=delimiter, lineterminator="\n")
 
 

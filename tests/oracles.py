@@ -315,3 +315,41 @@ def ingest_oracle(lines: list[str], schema):
             if math.isinf(v):
                 return "non-finite-measurement", f"row {lineno}: {m} value {v} is not finite"
     return index, stamps, keys, measurements
+
+
+def write_summaries_oracle(summaries, out, delimiter: str = ",") -> None:
+    """Row-by-row reference for ``distill.write_summaries``, to an open text handle.
+
+    One ``csv.writer`` row per quantile of each cell record that
+    iterating over ``summaries`` yields, and one row with blank
+    probability and value per empty cell.
+    """
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(["facet", "x", "prob", "value", "n"])
+    for s in summaries:
+        if s.n == 0:
+            writer.writerow([s.facet_label, s.x_label, "", "", 0])
+            continue
+        for p, v in s.quantiles:
+            writer.writerow([s.facet_label, s.x_label, format(p, "g"), format(v, ".12g"), s.n])
+
+
+def plot_spec_document(spec) -> dict:
+    """A plot spec as one dict: ``spec.head``, then a "cells" entry per cell record."""
+    return {
+        **spec.head,
+        "cells": [
+            {
+                "facet_level": s.facet_level,
+                "facet_label": s.facet_label,
+                "x_level": s.x_level,
+                "x_label": s.x_label,
+                "n": s.n,
+                "mean": s.mean,
+                "min": s.minimum,
+                "max": s.maximum,
+                "quantiles": list(map(list, s.quantiles)),
+            }
+            for s in spec.cells
+        ],
+    }

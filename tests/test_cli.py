@@ -144,6 +144,10 @@ FAULTS = {
     "short-row": (
         {"row": (3, "2012-01-01 00:30,c1")}, ["harmony"], 4, "short-row exit=4: row 3:"
     ),
+    "oversize-field": (
+        {"row": (3, "2012-01-01 00:30,c1,0.5" + "x" * 200_000)}, ["harmony"], 4,
+        "unreadable-row exit=4: row 3: field larger than field limit",
+    ),
     "inf-measurement": (
         {"row": (5, "2012-01-01 01:30,c1,inf")},
         ["plot-spec", *PAIR, "--geometry", "quantile-area"],
@@ -195,6 +199,12 @@ FAULTS = {
                      "plot-spec")
     },
     **{
+        f"out-under-file-{name}": (
+            {"out": "under-file"}, COMMANDS[name], 3, "bad-output exit=3: output path "
+        )
+        for name in ("harmony-observed", "summarize", "plot-spec")
+    },
+    **{
         f"span-{span}": (
             {},
             ["harmony", "--mode", "structural", "--span", span],
@@ -209,13 +219,22 @@ FAULTS = {
 @pytest.mark.parametrize("edit,argv,code,error", FAULTS.values(), ids=FAULTS.keys())
 def test_fault_is_one_typed_error(session, tmp_path, capsys, edit, argv, code, error):
     edit, out = dict(edit), tmp_path / "out"
-    out_is_directory = edit.pop("out", None) == "directory"
-    if out_is_directory:
+    where = edit.pop("out", None)
+    if where == "directory":
         out.mkdir()
+    elif where == "under-file":  # --out names a path inside an existing file
+        (tmp_path / "afile").write_bytes(b"")
+        out = tmp_path / "afile" / "h.csv"
     config = edited(session, tmp_path, **edit)
     assert cli.run([*argv, "--config", str(config), "--out", str(out)]) == code
     lines = error_lines(capsys)
     assert len(lines) == 1
     assert lines[0].startswith(f"error kind={error}")
-    # nothing is written: no file, and no entry in a directory named by --out
-    assert not any(out.iterdir()) if out_is_directory else not out.exists()
+    # nothing is written: no file, no entry in a directory named by --out, and
+    # the file above --out is left empty
+    if where == "directory":
+        assert not any(out.iterdir())
+    elif where == "under-file":
+        assert (tmp_path / "afile").read_bytes() == b""
+    else:
+        assert not out.exists()

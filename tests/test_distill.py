@@ -2,14 +2,16 @@ import io
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_oracle
+from oracles import plot_spec_document, quantile_oracle, write_summaries_oracle
 from timegrain import (
+    CellSummaries,
     ComputationError,
     CyclicDescriptor,
     DEFAULT_PROBS,
@@ -162,7 +164,7 @@ class TestSummarize:
             measurements={m: col[perm] for m, col in t.measurements.items()},
         )
         shuffled = augment(shuffled, [x, facet], gregorian)
-        assert summarize_cells(shuffled, x, facet, "kwh") == summarize_cells(t, x, facet, "kwh")
+        assert list(summarize_cells(shuffled, x, facet, "kwh")) == list(summarize_cells(t, x, facet, "kwh"))
 
     def test_swap_roles_is_a_bijection(self, cells_input):
         t, x, facet = cells_input
@@ -365,7 +367,7 @@ class TestPlotSpec:
         t, x, facet = cells_input
         cells = summarize_cells(t, x, facet, "kwh")
         spec = emit_plot_spec(cells, x, facet, "kwh", "quantile-area")
-        doc = spec.document
+        doc = plot_spec_document(spec)
         assert doc["geometry"] == "quantile-area"
         assert doc["x"]["levels"] == 24 and doc["facet"]["levels"] == 7
         assert len(doc["cells"]) == 24 * 7
@@ -391,7 +393,7 @@ class TestPlotSpec:
             emit_plot_spec(cells, x, facet, "kwh", "box")
         assert err.value.kind == "clash-refusal"
         forced = emit_plot_spec(cells, x, facet, "kwh", "box", force=True)
-        assert any("forced emission" in w for w in forced.document["warnings"])
+        assert any("forced emission" in w for w in forced.head["warnings"])
 
     def test_density_geometry_unsupported(self, cells_input):
         t, x, facet = cells_input
@@ -411,7 +413,7 @@ class TestPlotSpec:
         t, x, facet = cells_input
         cells = summarize_cells(t, x, facet, "kwh", letter_values=True)
         spec = emit_plot_spec(cells, x, facet, "kwh", "letter-value-counts")
-        assert spec.document["geometry"] == "letter-value-counts"
+        assert spec.head["geometry"] == "letter-value-counts"
         plain = summarize_cells(t, x, facet, "kwh", probs=(0.1, 0.5))
         with pytest.raises(ComputationError):
             emit_plot_spec(plain, x, facet, "kwh", "letter-value-counts")
@@ -421,7 +423,7 @@ class TestPlotSpec:
         t = augment(synthetic_table(gregorian, n_days=14), [x, facet], gregorian)
         cells = summarize_cells(t, x, facet, "kwh")
         spec = emit_plot_spec(cells, x, facet, "kwh", "quantile-area")
-        assert any(w.startswith("small cell") for w in spec.document["warnings"])
+        assert any(w.startswith("small cell") for w in spec.head["warnings"])
 
     def test_unknown_geometry(self, cells_input):
         t, x, facet = cells_input
@@ -432,14 +434,46 @@ class TestPlotSpec:
 
 
 LABELS = st.text(max_size=6) | st.sampled_from(
-    ['say "hi"', "back\\slash", "naïve", "日曜日", "tab\there", "inf", "nan", "\x00", "\ud800"]
+    ['say "hi"', "back\\slash", "naïve", "日曜日", "tab\there", "inf", "nan", "\x00", "\ud800",
+     "a,b", "semi;colon", "line\nbreak", "cr\rlf", "100%", "%s%%", '"', " lead", "e1", ""]
 )
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# every single character can be a delimiter; these are the ones csv treats specially
+# or that a formatted number holds
+DELIMITERS = st.characters() | st.sampled_from(list('0123456789.+-einfa" ,;\t\n\r%'))
 
 
 @st.composite
-def plot_spec_documents(draw, min_cells=0):
-    """Documents shaped like ``emit_plot_spec``'s, with arbitrary labels and numbers."""
+def cell_summaries(draw, min_occupied=0):
+    """``CellSummaries`` columns: empty cells, fixed and letter-value grids of mixed depth."""
+    kf, kx = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = draw(st.lists(st.just(0) | st.integers(1, 10**12), min_size=kf * kx, max_size=kf * kx))
+    for c in range(min(min_occupied, kf * kx)):
+        n[c] = n[c] or 1
+    grid = st.sampled_from([DEFAULT_PROBS, (0.5,), (0.25, 0.5, 0.75)]) | st.integers(
+        1, 2**12).map(letter_value_probabilities) | st.lists(
+        PROBABILITIES, min_size=1, max_size=4, unique=True).map(lambda ps: tuple(sorted(ps)))
+    grids = [draw(grid) for c in n if c]
+    occupied = len(grids)
+    stats = [np.array(draw(st.lists(NUMBERS, min_size=occupied, max_size=occupied)))
+             for _ in range(3)]
+    probs = np.array([p for g in grids for p in g], dtype=np.float64)
+    return CellSummaries(
+        facet_labels=tuple(draw(st.lists(LABELS, min_size=kf, max_size=kf))),
+        x_labels=tuple(draw(st.lists(LABELS, min_size=kx, max_size=kx))),
+        n=np.array(n, dtype=np.int64),
+        mean=stats[0], minimum=stats[1], maximum=stats[2],
+        probs=probs,
+        values=np.array(draw(st.lists(NUMBERS, min_size=len(probs), max_size=len(probs))),
+                        dtype=np.float64),
+        offsets=np.concatenate(([0], np.cumsum([len(g) for g in grids], dtype=np.int64))),
+    )
+
+
+@st.composite
+def plot_specs(draw, min_occupied=0):
+    """A ``PlotSpec`` whose head is shaped like ``emit_plot_spec``'s, with arbitrary labels and numbers."""
 
     def axis():
         levels = draw(st.integers(0, 4))
@@ -448,47 +482,41 @@ def plot_spec_documents(draw, min_cells=0):
             "levels": levels, "labels": draw(st.lists(LABELS, min_size=levels, max_size=levels)),
         }
 
-    cells = []
-    for _ in range(draw(st.integers(min_cells, 5))):
-        empty = draw(st.booleans())
-        cells.append({
-            "facet_level": draw(st.integers(0, 10**12)), "facet_label": draw(LABELS),
-            "x_level": draw(st.integers(0, 10**12)), "x_label": draw(LABELS),
-            "n": 0 if empty else draw(st.integers(1, 10**12)),
-            "mean": None if empty else draw(NUMBERS),
-            "min": None if empty else draw(NUMBERS),
-            "max": None if empty else draw(NUMBERS),
-            "quantiles": [] if empty else draw(st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
-                                                        min_size=1, max_size=4)),
-        })
-    return {
+    head = {
         "plot_spec_version": 1, "response": draw(LABELS),
         "geometry": draw(st.sampled_from(GEOMETRIES)), "x": axis(), "facet": axis(),
         "quantile_probabilities": draw(st.lists(NUMBERS, max_size=4)),
-        "warnings": draw(st.lists(LABELS, max_size=3)), "cells": cells,
+        "warnings": draw(st.lists(LABELS, max_size=3)),
     }
+    return PlotSpec(head, draw(cell_summaries(min_occupied)))
+
+
+def with_columns(s, **columns):
+    return CellSummaries(**{**{f.name: getattr(s, f.name) for f in fields(s)}, **columns})
 
 
 class TestPlotSpecJson:
     @settings(max_examples=200, deadline=None)
-    @given(doc=plot_spec_documents())
-    def test_equals_indented_json_dumps(self, doc):
-        assert PlotSpec(doc).to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    @given(spec=plot_specs())
+    def test_equals_indented_json_dumps(self, spec):
+        doc = plot_spec_document(spec)
+        assert spec.to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
-    @settings(max_examples=100, deadline=None)
-    @given(doc=plot_spec_documents(min_cells=1), data=st.data())
-    def test_non_finite_number_raises_like_json_dumps(self, doc, data):
-        cell = data.draw(st.sampled_from(doc["cells"]))
-        bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-        field = data.draw(st.sampled_from(["mean", "min", "max", "quantiles"]))
-        if field == "quantiles":
-            cell["quantiles"] = [*cell["quantiles"], [0.5, bad]]
-        else:
-            cell[field] = bad
+    @settings(max_examples=150, deadline=None)
+    @given(spec=plot_specs(min_occupied=1), data=st.data())
+    def test_non_finite_number_raises_like_json_dumps(self, spec, data):
+        # one or two non-finite numbers: the message names the first in document order
+        s = spec.cells
+        columns = {name: getattr(s, name).copy() for name in ("mean", "minimum", "maximum", "values")}
+        for _ in range(data.draw(st.integers(1, 2))):
+            col = columns[data.draw(st.sampled_from(sorted(columns)))]
+            col[data.draw(st.integers(0, len(col) - 1))] = data.draw(
+                st.sampled_from([math.inf, -math.inf, math.nan]))
+        spec = PlotSpec(spec.head, with_columns(s, **columns))
         with pytest.raises(ValueError) as want:
-            json.dumps(doc, indent=2, allow_nan=False)
+            json.dumps(plot_spec_document(spec), indent=2, allow_nan=False)
         with pytest.raises(ValueError) as got:
-            PlotSpec(doc).to_json()
+            spec.to_json()
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("letter_values", [False, True])
@@ -500,7 +528,34 @@ class TestPlotSpecJson:
         cells = summarize_cells(t, x, facet, "kwh", letter_values=letter_values)
         assert any(c.n == 0 for c in cells) and any(c.n for c in cells)
         spec = emit_plot_spec(cells, x, facet, "kwh", "quantile-area", force=True)
-        assert spec.to_json() == json.dumps(spec.document, indent=2, allow_nan=False) + "\n"
+        doc = plot_spec_document(spec)
+        assert spec.to_json() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+class TestSummaryExport:
+    @settings(max_examples=300, deadline=None)
+    @given(summaries=cell_summaries(), delimiter=DELIMITERS)
+    def test_equals_row_by_row_csv_writer(self, summaries, delimiter):
+        got, want = io.StringIO(), io.StringIO()
+        write_summaries(summaries, got, delimiter)
+        write_summaries_oracle(summaries, want, delimiter)
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "1", "e", "."])
+    def test_file_equals_row_by_row_csv_writer(self, cells_input, tmp_path, delimiter):
+        t, x, facet = cells_input
+        cells = summarize_cells(t, x, facet, "kwh", letter_values=True)
+        write_summaries(cells, tmp_path / "got.csv", delimiter)
+        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as handle:
+            write_summaries_oracle(cells, handle, delimiter)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_bad_delimiter_leaves_no_file(self, cells_input, tmp_path):
+        t, x, facet = cells_input
+        with pytest.raises(ValidationError) as err:
+            write_summaries(summarize_cells(t, x, facet, "kwh"), tmp_path / "s.csv", ";;")
+        assert err.value.kind == "bad-delimiter"
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_summary_export_format(cells_input):
@@ -523,5 +578,6 @@ def test_summary_export_keeps_empty_cells(gregorian):
     write_summaries(cells, buf)
     lines = buf.getvalue().splitlines()
     empties = [ln for ln in lines[1:] if ln.endswith(",0")]
-    assert empties and all(",,," not in ln or True for ln in empties)
+    # each empty cell has exactly one row, "facet,x,,,0"
+    assert empties == [f"{c.facet_label},{c.x_label},,,0" for c in cells if c.n == 0]
     assert any(ln.split(",")[2] == "" for ln in empties)

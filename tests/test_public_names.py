@@ -2,7 +2,7 @@ import timegrain
 
 # The package's public names: adding, removing or renaming one changes this list.
 PUBLIC_NAMES = [
-    "APERIODIC", "AperiodicEventCalendar", "CIRCULAR", "Calendar", "CellSummary",
+    "APERIODIC", "AperiodicEventCalendar", "CIRCULAR", "Calendar", "CellSummaries", "CellSummary",
     "ComputationError", "ConstantPeriod", "CyclicDescriptor", "DEFAULT_PROBS", "DataError",
     "EventCategory", "GranularTable", "HarmonyRow", "Hierarchy", "IndexSpan",
     "IngestionSchema", "IrregularMapping", "LevelsCategory", "OccupancyTable",

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import warnings
@@ -90,6 +91,25 @@ class TestIngest:
             ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
         assert err.value.kind == "non-finite-measurement"
         assert err.value.message.startswith("row 4:")
+
+    def test_oversize_field_is_a_row_error(self, gregorian):
+        # a field over csv.field_size_limit() stops the reader; the row is named
+        big = "x" * (csv.field_size_limit() + 1)
+        rows = ["2012-01-01 00:00,c1,0.5", f"2012-01-01 00:30,c1,0.5{big}", "2012-01-01 01:00,c1,0.5"]
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "unreadable-row"
+        assert err.value.message.startswith("row 3: field larger than field limit")
+        # an earlier faulty row is reported first, as for every row fault
+        rows[0] = "yesterday,c1,0.5"
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert (err.value.kind, err.value.message[:6]) == ("unparseable-timestamp", "row 2:")
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows[1:], header=f"timestamp,customer,kwh{big}"), SCHEMA,
+                   gregorian.hierarchy)
+        assert err.value.kind == "unreadable-row"
+        assert err.value.message.startswith("row 1: field larger than field limit")
 
     def test_non_utf8_file_rejected(self, gregorian, tmp_path):
         path = tmp_path / "meter.csv"
