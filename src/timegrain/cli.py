@@ -38,7 +38,9 @@ from .errors import TimegrainError, ValidationError
 from .fixtures import write_fixtures
 from .harmony import IndexSpan, classify_pair, cross_tab, harmony_table, write_harmony_table
 from .hierarchy import ConstantPeriod
-from .table import GranularTable, augment, csv_writer, export_table, ingest
+from .table import GranularTable, augment, csv_writer, export_table, ingest, text_out
+
+WRITE_SLICE = 1 << 20  # characters of a large text output encoded at a time
 
 
 def _out_dir(args, cfg: SessionConfig | None) -> Path:
@@ -188,8 +190,10 @@ def cmd_plot_spec(args) -> int:
         summaries, x, facet, args.response, args.geometry,
         force=args.force, warnings=warnings,
     )
-    out = _output_path(args, cfg, "plot_spec.json")
-    out.write_text(spec.to_json(), encoding="utf-8")
+    out, text = _output_path(args, cfg, "plot_spec.json"), spec.to_json()
+    with text_out(out) as handle:
+        for k in range(0, len(text), WRITE_SLICE):  # encoded a slice at a time, not in one copy
+            handle.write(text[k : k + WRITE_SLICE])
     print(f"wrote {out}")
     return 0
 

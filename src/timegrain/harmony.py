@@ -21,14 +21,21 @@ other side taken at one point per block. This is the paper's nested
 ordering made exact. The grid points in the partial blocks at the two
 ends of the span are scanned.
 
-Scans count in fixed blocks of ``SCAN_BLOCK`` points, evaluating and
-tallying one block at a time, so the memory a scan needs does not grow
-with the span or the table.
+A screen counts all of its pairs together, one block of points at a
+time: each block gets the values of each descriptor once, and each pair
+is one ``bincount`` over them. A table's cyclic columns are read for the
+descriptors they were made from, and only the others are evaluated. A
+span's scanned pairs are grouped by stride, and each group is scanned
+once. A block holds at most ``2 * SCAN_BLOCK`` values in all: it has
+``SCAN_BLOCK`` points for one pair, and ``2 * SCAN_BLOCK // n`` for a
+screen of n descriptors, so the memory a screen needs does not grow with
+the span, the table or the number of descriptors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -42,7 +49,7 @@ from .table import GranularTable, csv_writer
 DEFAULT_NEAR_THRESHOLD = 0.05
 DEFAULT_NEAR_FLOOR = 2
 DEFAULT_MAX_LEVELS = 31
-SCAN_BLOCK = 1 << 16  # points evaluated and counted at a time by cross_tab
+SCAN_BLOCK = 1 << 16  # points of one pair evaluated and counted at a time
 
 
 @dataclass(frozen=True)
@@ -103,15 +110,30 @@ def _cycle(cal: Calendar, d: CyclicDescriptor) -> int | None:
     return cal.hierarchy.bottom_units(d.upper)
 
 
-def _tally(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, points, k: int, m: int):
-    """K x L counts of points ``k`` to ``m - 1``, evaluated ``SCAN_BLOCK`` at a time."""
-    counts = np.zeros(ci.levels * cj.levels, dtype=np.int64)
-    for lo in range(k, m, SCAN_BLOCK):
-        zs = points(lo, min(lo + SCAN_BLOCK, m))
-        vi = evaluate(cal.hierarchy, ci, zs, cal.events)
-        vj = evaluate(cal.hierarchy, cj, zs, cal.events)
-        counts += np.bincount(vi * cj.levels + vj, minlength=counts.size)
-    return counts.reshape(ci.levels, cj.levels)
+def _count(
+    ds: Sequence[CyclicDescriptor], pairs: Sequence[tuple[int, int]], cal: Calendar,
+    points, k: int, m: int, held: dict[int, np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """K x L counts of each pair ``(i, j)`` of ``ds`` over points ``k`` to ``m - 1``.
+
+    A block gets the values of each descriptor the pairs use once, as
+    ``held[i]`` (a column of its values at every point) sliced or else
+    evaluated at the block's points, and counts each pair by one
+    ``bincount``. A block has ``2 * SCAN_BLOCK // len(ds)`` points, so it
+    holds at most ``2 * SCAN_BLOCK`` values however many descriptors
+    there are.
+    """
+    used, held = sorted({i for pair in pairs for i in pair}), held or {}
+    step = max(1, 2 * SCAN_BLOCK // len(ds))
+    counts = [np.zeros(ds[i].levels * ds[j].levels, dtype=np.int64) for i, j in pairs]
+    h, events = cal.hierarchy, cal.events
+    for lo in range(k, m, step):
+        hi = min(lo + step, m)
+        zs = points(lo, hi)
+        values = {i: held[i][lo:hi] if i in held else evaluate(h, ds[i], zs, events) for i in used}
+        for c, (i, j) in zip(counts, pairs):
+            c += np.bincount(values[i] * ds[j].levels + values[j], minlength=c.size)
+    return [c.reshape(ds[i].levels, ds[j].levels) for c, (i, j) in zip(counts, pairs)]
 
 
 def _grid(span: IndexSpan, stride: int):
@@ -131,9 +153,13 @@ def _nested(
     grid points of the partial blocks at the two ends are scanned.
     """
     n, points = (span.length + stride - 1) // stride, _grid(span, stride)
+
+    def scan(k: int, m: int) -> np.ndarray:
+        return _count([a, b], [(0, 1)], cal, points, k, m)[0]
+
     first, stop = -(-span.start // block), (span.start + span.length) // block
     if stop <= first:
-        return _tally(a, b, cal, points, 0, n)
+        return scan(0, n)
     head = -(-(first * block - span.start) // stride)  # first grid point of block `first`
     tail = head + (stop - first) * (block // stride)
     h, events = cal.hierarchy, cal.events
@@ -144,8 +170,71 @@ def _nested(
     for q in range(first, stop, SCAN_BLOCK):
         starts = block * np.arange(q, min(q + SCAN_BLOCK, stop), dtype=np.int64)
         hist += np.bincount(evaluate(h, b, starts, events), minlength=b.levels)
-    ends = _tally(a, b, cal, points, 0, head) + _tally(a, b, cal, points, tail, n)
-    return np.outer(mult, hist) + ends
+    return np.outer(mult, hist) + scan(0, head) + scan(tail, n)
+
+
+def _plan(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, span: IndexSpan):
+    """(stride, nesting) of a structural pair, after checking its span.
+
+    The stride is the ``gcd`` of both anchors. ``nesting`` is
+    ``(cycle, block, flipped)`` when one side repeats every ``cycle``
+    units, a divisor of the other side's anchor ``block``, for
+    ``_nested``; ``flipped`` when that side is ``cj``. None for a scan.
+    """
+    anchor_i, anchor_j = _anchor(cal, ci), _anchor(cal, cj)
+    cyc_i, cyc_j = _cycle(cal, ci), _cycle(cal, cj)
+    if cyc_i is not None and cyc_j is not None:
+        common = lcm(cyc_i, cyc_j)
+        if span.length < common:
+            raise ComputationError(
+                "insufficient-span",
+                f"span of {span.length} covers less than one common period ({common}) "
+                f"of {ci.name} and {cj.name}",
+            )
+    stride = gcd(anchor_i, anchor_j)
+    if cyc_i is not None and anchor_j % cyc_i == 0:
+        return stride, (cyc_i, anchor_j, False)
+    if cyc_j is not None and anchor_i % cyc_j == 0:
+        return stride, (cyc_j, anchor_i, True)
+    return stride, None
+
+
+def _occupancy(
+    data: GranularTable | IndexSpan, ds: Sequence[CyclicDescriptor],
+    pairs: Sequence[tuple[int, int]], cal: Calendar,
+) -> list[tuple[np.ndarray, int]]:
+    """(counts, points counted) of each pair ``(i, j)`` of ``ds``, in order.
+
+    A table is counted in one pass, reading the cyclic columns it holds
+    for a descriptor. A span's pairs are all planned first, so the first
+    pair too short for its span raises before anything is counted; nested
+    pairs then count as products, and the others are scanned in one pass
+    per stride. No pairs count nothing.
+    """
+    if not pairs:
+        return []
+    if not isinstance(data, IndexSpan):
+        # a column of that name made from another descriptor is not read
+        held = {i: data.cyclic[d.name][1] for i, d in enumerate(ds)
+                if d.name in data.cyclic and data.cyclic[d.name][0] == d}
+        n = len(data.index)
+        return [(c, n) for c in _count(ds, pairs, cal, lambda k, m: data.index[k:m], 0, n, held)]
+    out: list = [None] * len(pairs)
+    scans: dict[int, list[int]] = {}  # stride: positions in ``pairs`` of its scanned pairs
+    for p, (stride, nesting) in enumerate([_plan(ds[i], ds[j], cal, data) for i, j in pairs]):
+        if nesting is None:
+            scans.setdefault(stride, []).append(p)
+            continue
+        cycle, block, flipped = nesting
+        i, j = pairs[p][::-1] if flipped else pairs[p]
+        counts = _nested(ds[i], ds[j], cal, data, stride, cycle, block)
+        out[p] = (counts.T.copy() if flipped else counts, -(-data.length // stride))
+    for stride, group in scans.items():
+        n = -(-data.length // stride)
+        counts = _count(ds, [pairs[p] for p in group], cal, _grid(data, stride), 0, n)
+        for p, c in zip(group, counts):
+            out[p] = (c, n)
+    return out
 
 
 def cross_tab(
@@ -155,6 +244,11 @@ def cross_tab(
     cal: Calendar,
 ) -> OccupancyTable:
     """K x L occupancy of the pair over table rows or a synthetic span.
+
+    The one-pair case of the screen in ``harmony_table``. Over a table,
+    a descriptor's values are its cyclic column when the table holds one
+    made from that same descriptor, and are evaluated at the rows' index
+    otherwise; each is evaluated once per block.
 
     A span is sampled at the stride ``gcd`` of both anchors, from its
     start. When one side is circular with a regular upper rung whose
@@ -167,30 +261,8 @@ def cross_tab(
     A span samples at least one point: ``IndexSpan`` rejects empty spans
     with ``empty-span`` when it is built.
     """
-    if isinstance(data, IndexSpan):
-        mode = "structural"
-        anchor_i, anchor_j = _anchor(cal, ci), _anchor(cal, cj)
-        stride = gcd(anchor_i, anchor_j)
-        cyc_i, cyc_j = _cycle(cal, ci), _cycle(cal, cj)
-        if cyc_i is not None and cyc_j is not None:
-            common = lcm(cyc_i, cyc_j)
-            if data.length < common:
-                raise ComputationError(
-                    "insufficient-span",
-                    f"span of {data.length} covers less than one common period ({common}) "
-                    f"of {ci.name} and {cj.name}",
-                )
-        n = (data.length + stride - 1) // stride
-        if cyc_i is not None and anchor_j % cyc_i == 0:
-            counts = _nested(ci, cj, cal, data, stride, cyc_i, anchor_j)
-        elif cyc_j is not None and anchor_i % cyc_j == 0:
-            counts = _nested(cj, ci, cal, data, stride, cyc_j, anchor_i).T.copy()
-        else:
-            counts = _tally(ci, cj, cal, _grid(data, stride), 0, n)
-    else:
-        mode = "observed"
-        n = len(data.index)
-        counts = _tally(ci, cj, cal, lambda k, m: data.index[k:m], 0, n)
+    mode = "structural" if isinstance(data, IndexSpan) else "observed"
+    [(counts, n)] = _occupancy(data, [ci, cj], [(0, 1)], cal)
     return OccupancyTable(ci, cj, counts, mode, n)
 
 
@@ -246,17 +318,28 @@ def harmony_table(
 
     Verdicts are computed once per unordered pair (occupancy transposes);
     both orderings of each surviving pair are emitted, sorted by name.
+
+    All pairs are counted together, with ``cross_tab``'s counts. Over a
+    table that is one pass, evaluating each kept descriptor once per
+    block (or reading its cyclic column). Over a span, every pair is
+    checked against the span before any is counted, so the error names
+    the first pair in screen order whose common period the span misses;
+    nested pairs count as products, and the scanned pairs are grouped by
+    stride, one pass per stride. A block has ``2 * SCAN_BLOCK // n``
+    points for n kept descriptors, so it holds at most ``2 * SCAN_BLOCK``
+    values and memory does not grow with the number of descriptors, the
+    span or the table.
     """
     kept = [d for d in descriptors if d.levels <= max_levels]
+    pairs = list(combinations(range(len(kept)), 2))
     rows: list[HarmonyRow] = []
-    for i, a in enumerate(kept):
-        for b in kept[i + 1 :]:
-            counts = cross_tab(data, a, b, cal).counts
-            verdict, _ = _verdict(counts, near_threshold, near_floor)
-            if verdict == "clash" or (verdict == "near-clash" and not keep_near_clashes):
-                continue
-            rows.append(HarmonyRow(a.name, b.name, a.levels, b.levels))
-            rows.append(HarmonyRow(b.name, a.name, b.levels, a.levels))
+    for (i, j), (counts, _) in zip(pairs, _occupancy(data, kept, pairs, cal)):
+        verdict, _ = _verdict(counts, near_threshold, near_floor)
+        if verdict == "clash" or (verdict == "near-clash" and not keep_near_clashes):
+            continue
+        a, b = kept[i], kept[j]
+        rows.append(HarmonyRow(a.name, b.name, a.levels, b.levels))
+        rows.append(HarmonyRow(b.name, a.name, b.levels, a.levels))
     rows.sort(key=lambda r: (r.facet, r.x))
     return rows
 

@@ -83,7 +83,13 @@ def check_delimiter(delimiter: str) -> None:
 
 @dataclass(frozen=True)
 class GranularTable:
-    """Immutable column store; augment() returns a new table."""
+    """Immutable column store; augment() returns a new table.
+
+    ``cyclic`` maps a column name to the descriptor it was made from and
+    its values. Screens (``cross_tab``, ``harmony_table``) read a column
+    in place of evaluating a descriptor when the stored descriptor equals
+    it, and evaluate one whose name is held by another descriptor.
+    """
 
     index: np.ndarray
     timestamps: tuple[str, ...]

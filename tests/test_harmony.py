@@ -21,15 +21,18 @@ from timegrain import (
     HarmonyRow,
     IndexSpan,
     OccupancyTable,
+    augment,
     classify_pair,
     cross_tab,
     derive_descriptor,
+    enumerate_cyclic,
     evaluate,
     harmony_table,
     pairwise_descriptor,
     write_harmony_table,
 )
-from timegrain.harmony import SCAN_BLOCK
+from timegrain import harmony
+from timegrain.harmony import DEFAULT_NEAR_FLOOR, DEFAULT_NEAR_THRESHOLD, SCAN_BLOCK
 
 YEAR_2013 = IndexSpan(start=366 * 48, length=365 * 48)
 
@@ -209,6 +212,28 @@ def test_structural_scan_memory_is_bounded(gregorian):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("mode", ["structural", "observed"])
+def test_screen_memory_is_bounded(gregorian, mode):
+    # the six half-hour Gregorian descriptors of at most 31 levels over 2012 to 2101, as a
+    # span and as a table of its every index (12 MB per int64 column, made before the
+    # count): one block of values serves all descriptors, not one per pair or per descriptor
+    descriptors = [d for d in enumerate_cyclic(gregorian.hierarchy) if d.levels <= 31]
+    assert len(descriptors) == 6
+    n = 32_507 * 48
+    if mode == "structural":
+        data = IndexSpan(length=n)
+    else:
+        data = GranularTable(index=np.arange(n, dtype=np.int64), timestamps=("",) * n,
+                             timestamp_column="t")
+    tracemalloc.start()
+    try:
+        harmony_table(descriptors, data, gregorian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 class TestClassify:
     def test_clash(self, gregorian, ds):
         c = classify_pair(cross_tab(YEAR_2013, ds["day_month"], ds["week_month"], gregorian))
@@ -325,3 +350,135 @@ class TestHarmonyTable:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "facet_variable,x_variable,facet_levels,x_levels"
         assert "day_week,hour_day,7,24" in lines
+
+
+def rows_from_counts(descriptors, counts_of, keep_near):
+    """Harmony rows rebuilt from ``pair_verdict_oracle`` on each unordered pair's counts."""
+    kept = {"harmony", "near-clash"} if keep_near else {"harmony"}
+    rows = []
+    for a, b in combinations(descriptors, 2):
+        counts = counts_of(a, b).tolist()
+        if pair_verdict_oracle(counts, DEFAULT_NEAR_THRESHOLD, DEFAULT_NEAR_FLOOR)[0] in kept:
+            rows += [HarmonyRow(a.name, b.name, a.levels, b.levels),
+                     HarmonyRow(b.name, a.name, b.levels, a.levels)]
+    return sorted(rows, key=lambda r: (r.facet, r.x))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Descriptor names that ``harmony`` evaluates, in call order."""
+    calls = []
+
+    def counted(h, d, z, events=None):
+        calls.append(d.name)
+        return evaluate(h, d, z, events)
+
+    monkeypatch.setattr(harmony, "evaluate", counted)
+    return calls
+
+
+class TestScreen:
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_descriptors_count_nothing(
+        self, gregorian, ds, smart_table, smart_calendar, smart_catalog, evaluations, count
+    ):
+        assert harmony_table(list(ds.values())[:count], YEAR_2013, gregorian) == []
+        assert harmony_table(list(smart_catalog.values())[:count], smart_table,
+                             smart_calendar) == []
+        assert evaluations == []
+
+    def test_insufficient_span_names_first_pair_before_counting(self, gregorian, evaluations):
+        # (halfhour_hour, hour_day) fits in 100 half-hours; (halfhour_hour, day_week) is
+        # the first pair, in screen order, whose common period of 336 does not
+        h = gregorian.hierarchy
+        descriptors = [pairwise_descriptor(h, "halfhour", "hour"),
+                       pairwise_descriptor(h, "hour", "day"), pairwise_descriptor(h, "day", "week")]
+        with pytest.raises(ComputationError) as err:
+            harmony_table(descriptors, IndexSpan(length=100), gregorian)
+        assert err.value.kind == "insufficient-span"
+        assert "of halfhour_hour and day_week" in str(err.value)
+        assert evaluations == []
+
+    def test_held_columns_are_read(self, smart_table, smart_calendar, smart_catalog, evaluations):
+        descriptors = [d for d in smart_catalog.values() if d.levels <= 31]
+        a, b = descriptors[:2]
+        bare = harmony_table(descriptors, smart_table, smart_calendar)
+        want = cross_tab(smart_table, a, b, smart_calendar).counts
+        assert sorted(set(evaluations)) == sorted(d.name for d in descriptors)
+        table = augment(smart_table, descriptors, smart_calendar)
+        evaluations.clear()
+        assert harmony_table(descriptors, table, smart_calendar) == bare
+        assert (cross_tab(table, a, b, smart_calendar).counts == want).all()
+        assert evaluations == []
+
+    def test_column_of_another_descriptor_is_evaluated(
+        self, smart_table, smart_calendar, smart_catalog, evaluations
+    ):
+        # a day_week column made from wknd_wday under day_week's name is not day_week's
+        decoy = derive_descriptor(smart_catalog["wknd_wday"], [0, 1], "day_week")
+        table = augment(smart_table, [decoy], smart_calendar)
+        descriptors = list(smart_catalog.values())
+        assert (harmony_table(descriptors, table, smart_calendar)
+                == harmony_table(descriptors, smart_table, smart_calendar))
+        hour_day, day_week = smart_catalog["hour_day"], smart_catalog["day_week"]
+        evaluations.clear()
+        occ = cross_tab(table, hour_day, day_week, smart_calendar)
+        assert set(evaluations) == {"day_week", "hour_day"}
+        assert (occ.counts == cross_tab(smart_table, hour_day, day_week, smart_calendar).counts).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(screen=screens(), keep_near=st.booleans())
+def test_structural_screen_matches_blocked_scan(screen, keep_near):
+    h, descriptors, span = screen
+    cal = Calendar(h)
+    for ci, cj in combinations(descriptors, 2):  # the first pair the span is too short for
+        try:
+            cross_tab(span, ci, cj, cal)
+        except ComputationError as err:
+            with pytest.raises(ComputationError) as screened:
+                harmony_table(descriptors, span, cal, max_levels=40, keep_near_clashes=keep_near)
+            assert str(screened.value) == str(err)
+            return
+
+    def scan(ci, cj):
+        stride = gcd(constant_block(h, ci), constant_block(h, cj))
+        return blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, stride)[0]
+
+    rows = harmony_table(descriptors, span, cal, max_levels=40, keep_near_clashes=keep_near)
+    assert rows == rows_from_counts(descriptors, scan, keep_near)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # one block, or several: seven descriptors share a block of 2 * SCAN_BLOCK // 7 rows
+    n=st.one_of(st.integers(1, 300), st.integers(SCAN_BLOCK // 4, 3 * SCAN_BLOCK // 4)),
+    start=st.integers(0, 100 * 365 * 48),
+    width=st.integers(1, 20 * 365 * 48),
+    seed=st.integers(0, 2**32 - 1),
+    held=st.sets(st.sampled_from(sorted(("hour_day", "day_week", "day_month", "week_month",
+                                         "month_year", "day_year", "wknd_wday")))),
+    decoy=st.sampled_from([None, "day_week", "month_year", "wknd_wday"]),
+    keep_near=st.booleans(),
+)
+def test_observed_screen_matches_bincount(gregorian, ds, n, start, width, seed, held, decoy,
+                                          keep_near):
+    h = gregorian.hierarchy
+    zs = start + np.random.default_rng(seed).integers(0, width, n)
+    table = GranularTable(index=zs, timestamps=("",) * n, timestamp_column="t")
+    if decoy is not None:  # a column under that name made from another descriptor
+        table = augment(table, [derive_descriptor(ds["hour_day"], [k % 3 for k in range(24)],
+                                                  decoy)], gregorian)
+    table = augment(table, [ds[name] for name in sorted(held)], gregorian)
+
+    def once(ci, cj):
+        return np.bincount(evaluate(h, ci, zs) * cj.levels + evaluate(h, cj, zs),
+                           minlength=ci.levels * cj.levels).reshape(ci.levels, cj.levels)
+
+    descriptors = list(ds.values())
+    for ci, cj in combinations(descriptors, 2):
+        occ = cross_tab(table, ci, cj, gregorian)
+        assert occ.total == n
+        assert (occ.counts == once(ci, cj)).all()
+    rows = harmony_table(descriptors, table, gregorian, max_levels=400, keep_near_clashes=keep_near)
+    assert rows == rows_from_counts(descriptors, once, keep_near)
