@@ -19,15 +19,13 @@ writers never do.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from statistics import NormalDist
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +33,8 @@ from .calfile import Calendar
 from .cyclic import CyclicDescriptor, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
-from .table import GranularTable, check_delimiter, text_out
+from .table import _NUMBER_CHARS, GranularTable, _csv_quoter, _distinct, _objects
+from .table import check_delimiter, text_out
 
 # quantile bands: 1-99, 10-90, and 25-75 around the median
 DEFAULT_PROBS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -147,18 +146,6 @@ class Recommendation:
             lines.append("geometries: " + ", ".join(self.geometries))
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines) + "\n"
-
-
-def _objects(items: Iterable) -> np.ndarray:
-    """A 1-d object array of ``items`` (strings or numbers), for placing them by index."""
-    return np.array(list(items), dtype=object)
-
-
-def _distinct(col: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The distinct floats of ``col`` by bit pattern, and each entry's index among them."""
-    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    return bits.view(np.float64).tolist(), inverse
 
 
 # the "quantiles" pair of a plot-spec cell as ``json.dumps(indent=2)`` writes it
@@ -506,26 +493,7 @@ def emit_plot_spec(
     return PlotSpec(head, summaries)
 
 
-# every character of a number as ``format`` writes it: "-1.5e+20", "inf", "nan"
-_NUMBER_CHARS = frozenset("0123456789.+-einfa")
-
 _SUMMARY_HEADER = ("facet", "x", "prob", "value", "n")
-
-
-def _csv_quoter(delimiter: str):
-    """``csv.writer``'s form of one field of a row of several, ``delimiter`` between them."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-
-    def quote(field: str) -> str:
-        if not field:  # csv quotes an empty field only when it is the whole row
-            return field
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((field,))
-        return buf.getvalue()[:-1]
-
-    return quote
 
 
 def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None:

@@ -10,12 +10,13 @@ their descriptor at the row's index.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import takewhile
+from itertools import chain, repeat, takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,6 +37,10 @@ _DURATION_UNITS = {
     "day": 86400,
     "w": 604800,
 }
+
+# characters of text read and split at a time by ``ingest``; ``export_table``
+# formats a quarter as many fields at a time
+TEXT_BLOCK = 1 << 16
 
 
 def parse_duration(text: str) -> timedelta:
@@ -60,7 +65,9 @@ class IngestionSchema:
     patterns ``%Y-%m-%d``, ``%Y-%m-%d %H``, ``%Y-%m-%d %H:%M`` and
     ``%Y-%m-%d %H:%M:%S`` (or ``T`` for the space) by one ``datetime64``
     conversion if all have its fixed-width form, else by ``strptime``;
-    every other check is shared. ``delimiter`` is one character.
+    every other check is shared. ``delimiter`` is one character; with an
+    ASCII one other than ``"`` and line ends, quote-free text is split a
+    block at a time (see ``ingest``).
     """
 
     timestamp_column: str
@@ -137,7 +144,20 @@ def ingest(
     are missing values). Each check looks only at the rows before the first
     fault found so far, so the error raised is the first faulty row's, in
     file order, with its line number. Infinite measurements are rejected
-    last, column by column.
+    last, column by column. A header that lacks a schema column, or names
+    one twice, is rejected before any row is read.
+
+    A text file that can seek (a path is opened into one; ``io.StringIO``
+    too) is read ``TEXT_BLOCK`` characters at a time, completed to whole
+    lines. A block is plain when it holds no ``"`` and no ``\\r``, each of
+    its lines has the header's number of fields, and no field is longer
+    than ``csv.field_size_limit()``; a plain block is split at the
+    delimiter and line ends, which reads it as ``csv`` does. From the
+    start of the first block that is not plain, ``csv.reader`` reads the
+    rest of the file, numbering rows on from the split ones. Text that
+    does not decode while blocks are read is read again by ``csv.reader``
+    from the start. Any other iterable of lines, and a delimiter that is
+    ``"``, a line end or not ASCII, are read by ``csv.reader`` throughout.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -147,11 +167,20 @@ def ingest(
         close = True
     else:
         handle, close = source, False
+    d = schema.delimiter
+    start = None  # where a handle read in blocks starts, to read it again from
+    if d.isascii() and d not in '"\r\n' and isinstance(handle, io.IOBase) and handle.seekable():
+        try:
+            start = handle.tell()
+        except OSError:  # a text file after ``next`` cannot tell
+            pass
     names = (schema.timestamp_column, *schema.key_columns, *schema.measurement_columns)
+    split: list[list[str]] = [[] for _ in names]
     rows: list[tuple[str, ...]] = []
     origin = step = short = fault = None
     try:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
+        # ``readline`` keeps a text file able to tell, which ``next`` stops
+        reader = csv.reader(handle if start is None else iter(handle.readline, ""), delimiter=d)
         try:
             header = next(reader)
         except StopIteration:
@@ -161,6 +190,9 @@ def ingest(
         for col in names:
             if col not in header:
                 raise DataError("unknown-column", f"column {col!r} missing from header")
+            if header.count(col) > 1:
+                raise DataError("ambiguous-column",
+                                f"column {col!r} appears {header.count(col)} times in header")
 
         if schema.timestamp_format != "index":
             if not schema.origin or not schema.bottom_duration:
@@ -176,7 +208,18 @@ def ingest(
                     f"{schema.timestamp_format!r}",
                 ) from None
             step = parse_duration(schema.bottom_duration)
-        short = _read_fields(reader, [header.index(c) for c in names], len(header), rows)
+        positions, width = [header.index(c) for c in names], len(header)
+        if start is not None:
+            reader = csv.reader(handle, delimiter=d)
+            try:
+                _read_blocks(handle, d, positions, width, split)
+            except UnicodeDecodeError:
+                # read it all by csv, which decodes in smaller blocks, so that the
+                # same rows come before the bad block
+                handle.seek(start)
+                split = [[] for _ in names]
+                next(reader)
+        short = _read_fields(reader, positions, width, rows, 2 + len(split[0]))
     except UnicodeDecodeError as exc:
         # decoded in blocks ahead of the rows, so no row number is known; the rows
         # read before the bad block are checked first
@@ -185,7 +228,8 @@ def ingest(
         if close:
             handle.close()
 
-    columns = list(zip(*rows)) or [()] * len(names)
+    columns = [(*head, *tail) for head, tail in zip(split, list(zip(*rows)) or [()] * len(names))]
+    del split, rows
     if short:  # the short row's fields, up to the first it lacks, end their columns
         fields, fault = short
         columns[: len(fields)] = [col + (f,) for col, f in zip(columns, fields)]
@@ -208,14 +252,58 @@ def ingest(
     )
 
 
-def _read_fields(reader, positions: list[int], width: int, rows: list):
+def _read_blocks(handle, d: str, positions: list[int], width: int, columns: list[list[str]]):
+    """Extend ``columns`` by the fields at ``positions`` of the rows of ``handle``'s plain blocks.
+
+    A block is ``TEXT_BLOCK`` characters completed to whole lines. Reading
+    stops at the end, or at the first block that is not plain, with
+    ``handle`` put back at that block's start.
+    """
+    limit, at = csv.field_size_limit(), handle.tell()
+    while block := handle.read(TEXT_BLOCK):
+        block += handle.readline()
+        fields = _plain_fields(block, d, width, limit)
+        if fields is None:
+            handle.seek(at)
+            return
+        for col, p in zip(columns, positions):
+            col.extend(fields[p::width])
+        at = handle.tell()
+
+
+def _plain_fields(block: str, d: str, width: int, limit: int) -> list[str] | None:
+    """The fields of ``block``'s lines, row after row, or None unless the block is plain.
+
+    Plain: no ``"`` or ``\\r``, and ``width`` fields on every line (so no
+    blank line), none longer than ``limit``. ``csv`` then reads the lines
+    as ``split`` does. Checked on the UTF-8 bytes, where ``\\n`` and the
+    ASCII ``d`` never occur inside a character.
+    """
+    if '"' in block or "\r" in block:
+        return None
+    if not block.endswith("\n"):  # the file's last line
+        block += "\n"
+    raw = np.frombuffer(block.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(d)) | (raw == ord("\n")))
+    if len(seps) % width:
+        return None
+    ends = (raw[seps] == ord("\n")).reshape(-1, width)
+    lengths = np.diff(seps, prepend=-1) - 1  # in bytes, at least the characters
+    if (ends[:, :-1].any() or not ends[:, -1].all() or lengths.max() > limit
+            or (width == 1 and not lengths.all())):
+        return None
+    return block[:-1].replace("\n", d).split(d)
+
+
+def _read_fields(reader, positions: list[int], width: int, rows: list, first: int):
     """Append the fields at ``positions`` of each row to ``rows``, in order.
 
     Reading stops at the first row too short for ``positions``, which is
     not appended: its fields up to the first one it lacks are returned
     with its error. Reading also stops at a row that ``csv`` cannot read
     (a field over ``csv.field_size_limit()``, say): no fields and its
-    error are returned. None when every row is read.
+    error are returned. None when every row is read. ``first`` is the
+    row number of the first row read.
     """
     pick = itemgetter(*positions) if len(positions) > 1 else lambda row: (row[positions[0]],)
     append = rows.append
@@ -225,10 +313,10 @@ def _read_fields(reader, positions: list[int], width: int, rows: list):
     except IndexError:
         return tuple(row[p] for p in takewhile(len(row).__gt__, positions)), DataError(
             "short-row",
-            f"row {len(rows) + 2}: {len(row)} fields, fewer than the header's {width}",
+            f"row {first + len(rows)}: {len(row)} fields, fewer than the header's {width}",
         )
     except csv.Error as exc:
-        return (), DataError("unreadable-row", f"row {len(rows) + 2}: {exc}")
+        return (), DataError("unreadable-row", f"row {first + len(rows)}: {exc}")
 
 
 _INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
@@ -417,22 +505,90 @@ def csv_writer(out, delimiter: str = ","):
         yield csv.writer(handle, delimiter=delimiter, lineterminator="\n")
 
 
-def _format_measurement(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    return format(v, ".12g")
+# every character of a number as ``format`` writes it: "-1.5e+20", "inf", "nan"
+_NUMBER_CHARS = frozenset("0123456789.+-einfa")
+
+
+def _csv_quoter(delimiter: str):
+    """``csv.writer``'s form of one field of a row of several, ``delimiter`` between them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+
+    def quote(field: str) -> str:
+        if not field:  # csv quotes an empty field only when it is the whole row
+            return field
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((field,))
+        return buf.getvalue()[:-1]
+
+    return quote
+
+
+def _objects(items: Iterable) -> np.ndarray:
+    """A 1-d object array of ``items`` (strings or numbers), for placing them by index."""
+    return np.array(list(items), dtype=object)
+
+
+def _distinct(col: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct floats of ``col`` by bit pattern, and each entry's index among them."""
+    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    return bits.view(np.float64).tolist(), inverse
 
 
 def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
-    """Write the table (including cyclic columns) as delimited text."""
-    with csv_writer(out, delimiter) as writer:
-        header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
-        writer.writerow(header)
-        columns = [
-            t.timestamps,
-            *t.keys.values(),
-            t.index.tolist(),
-            *([_format_measurement(v) for v in col.tolist()] for col in t.measurements.values()),
-            *(col.tolist() for _, col in t.cyclic.values()),
-        ]
-        writer.writerows(zip(*columns))
+    """Write the table (including cyclic columns) as delimited text.
+
+    The text is ``csv.writer``'s (``delimiter``, ``\\n`` line ends) for a
+    header row and one row per table row: timestamp, keys, index,
+    measurements (``format(v, ".12g")``, blank for nan) and cyclic columns.
+    It is made a block of rows at a time, a column at a time: each distinct
+    measurement of a block is formatted once, small non-negative integers
+    are looked up, and a block of text is quoted field by field only when
+    it holds a character that csv quotes.
+    """
+    check_delimiter(delimiter)  # before ``out`` is opened
+    quote = _csv_quoter(delimiter)
+    header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
+    columns = [t.timestamps, *t.keys.values(), t.index, *t.measurements.values(),
+               *(col for _, col in t.cyclic.values())]
+    step = max(1, TEXT_BLOCK // 4 // len(columns))
+    ends = [delimiter] * (len(columns) - 1) + ["\n"]
+    texts = [_column_text(col, delimiter, end, quote, step) for col, end in zip(columns, ends)]
+    with text_out(out) as handle:
+        handle.write(delimiter.join(map(quote, header)) + "\n")
+        for a in range(0, len(t), step):
+            parts = chain.from_iterable(text(a, a + step) for text in texts)
+            handle.write("".join(chain.from_iterable(zip(*parts))))
+
+
+def _column_text(col, d: str, end: str, quote, step: int):
+    """A function of ``(start, stop)`` giving the csv text of ``col``'s rows as sequences to zip.
+
+    They are the fields each followed by ``end``, or the fields and a
+    repeat of ``end``. Integers below ``step`` (a block's rows) and the
+    column's length are looked up in names made once.
+    """
+    if not isinstance(col, np.ndarray):  # text, quoted by csv only for these characters
+        def text(a, b):
+            cells = col[a:b]
+            joined = "".join(cells)
+            if any(c in joined for c in (d, '"', "\r", "\n")):
+                cells = map(quote, cells)
+            return cells, repeat(end)
+        return text
+
+    def numbers(cells):  # csv quotes a formatted number only when the delimiter can occur in one
+        return map(quote, cells) if d in _NUMBER_CHARS else cells
+
+    if col.dtype.kind == "f":
+        def measurement(a, b):
+            values, which = _distinct(col[a:b])
+            cells = numbers(["" if v != v else format(v, ".12g") for v in values])
+            return _objects(cells)[which].tolist(), repeat(end)
+        return measurement
+    if len(col) and 0 <= col.min() and col.max() < min(step, len(col)):
+        names = _objects(c + end for c in numbers(map(str, range(col.max() + 1))))
+        return lambda a, b: (names[col[a:b]].tolist(),)
+    return lambda a, b: (numbers(map(str, col[a:b].tolist())), repeat(end))

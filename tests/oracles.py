@@ -250,9 +250,17 @@ def ingest_oracle(lines: list[str], schema):
     measurements)`` (keys and measurements map column names to lists; a
     missing measurement is nan), or ``(kind, message)`` of the first fault:
     the first faulty row in file order, then the first infinite
-    measurement, column by column.
+    measurement, column by column. A row that ``csv`` cannot read is a
+    fault after the rows before it.
     """
-    rows = list(csv.reader(lines, delimiter=schema.delimiter))
+    rows, unreadable = [], None
+    try:
+        for row in csv.reader(lines, delimiter=schema.delimiter):
+            rows.append(row)
+    except csv.Error as exc:  # reported after the faults of the rows before it
+        unreadable = "unreadable-row", f"row {len(rows) + 1}: {exc}"
+    if not rows:
+        return unreadable
     header = rows[0]
     pos = {c: header.index(c) for c in (schema.timestamp_column, *schema.key_columns,
                                          *schema.measurement_columns)}
@@ -310,11 +318,32 @@ def ingest_oracle(lines: list[str], schema):
             keys[k].append(row[pos[k]])
         for m, v in zip(schema.measurement_columns, values):
             measurements[m].append(v)
+    if unreadable:
+        return unreadable
     for m, values in measurements.items():
         for lineno, v in enumerate(values, start=2):
             if math.isinf(v):
                 return "non-finite-measurement", f"row {lineno}: {m} value {v} is not finite"
     return index, stamps, keys, measurements
+
+
+def export_table_oracle(t, out, delimiter: str = ",") -> None:
+    """Row-by-row reference for ``table.export_table``, to an open text handle.
+
+    One ``csv.writer`` row for the header and per table row; a measurement
+    is ``format(v, ".12g")``, blank for nan.
+    """
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow([t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic])
+    columns = [
+        t.timestamps,
+        *t.keys.values(),
+        t.index.tolist(),
+        *(["" if math.isnan(v) else format(v, ".12g") for v in col.tolist()]
+          for col in t.measurements.values()),
+        *(col.tolist() for _, col in t.cyclic.values()),
+    ]
+    writer.writerows(zip(*columns))
 
 
 def write_summaries_oracle(summaries, out, delimiter: str = ",") -> None:

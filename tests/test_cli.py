@@ -148,6 +148,10 @@ FAULTS = {
         {"row": (3, "2012-01-01 00:30,c1,0.5" + "x" * 200_000)}, ["harmony"], 4,
         "unreadable-row exit=4: row 3: field larger than field limit",
     ),
+    "ambiguous-column": (
+        {"row": (1, "timestamp,customer,kwh,timestamp")}, ["harmony"], 4,
+        "ambiguous-column exit=4: column 'timestamp' appears 2 times in header",
+    ),
     "inf-measurement": (
         {"row": (5, "2012-01-01 01:30,c1,inf")},
         ["plot-spec", *PAIR, "--geometry", "quantile-area"],

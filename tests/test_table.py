@@ -1,17 +1,20 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ingest_oracle
+from oracles import export_table_oracle, ingest_oracle
 
 from timegrain import (
     DataError,
+    GranularTable,
     IngestionSchema,
     ValidationError,
     augment,
@@ -23,6 +26,7 @@ from timegrain import (
     pairwise_descriptor,
     table,
 )
+from timegrain.fixtures import cricket_calendar, write_cricket_csv
 
 
 def make_csv(rows, header="timestamp,customer,kwh"):
@@ -134,6 +138,14 @@ class TestIngest:
             assert (err.value.kind, err.value.message[:6]) == ("duplicate-row", "row 3:")
         else:
             assert err.value.kind == "bad-encoding"
+
+    def test_column_named_twice_rejected(self, gregorian):
+        # rejected before any row is read: the faulty row 2 is not reached
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(["yesterday,c1,0.5,x"], header="timestamp,customer,kwh,timestamp"),
+                   SCHEMA, gregorian.hierarchy)
+        assert (err.value.kind, err.value.message) == (
+            "ambiguous-column", "column 'timestamp' appears 2 times in header")
 
     def test_missing_column(self, gregorian):
         with pytest.raises(DataError) as err:
@@ -350,6 +362,12 @@ def outcome(source, schema, hierarchy):
             nan_as_none({m: col.tolist() for m, col in t.measurements.items()}))
 
 
+def oracle_outcome(lines, schema):
+    """What ``ingest_oracle`` gives, in the form of ``outcome``."""
+    expected = ingest_oracle(lines, schema)
+    return (*expected[:3], nan_as_none(expected[3])) if len(expected) == 4 else expected
+
+
 class TestIngestMatchesOracle:
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -368,6 +386,110 @@ class TestIngestMatchesOracle:
         path.write_text(text, encoding="utf-8", newline="")
         assert outcome(io.StringIO(text), schema, gregorian.hierarchy) == expected
         assert outcome(path, schema, gregorian.hierarchy) == expected
+
+
+KEY_TEXT = st.sampled_from(["c", "naïve", "日曜日", " lead", "a\x00b", ""])
+QUOTED = ['"a,b"', '"line\nbreak"', '"say ""hi"""', '"cr\r\nlf"', '"x"y', '"5"']
+
+
+@st.composite
+def block_texts(draw):
+    """A header and delimited text: mostly plain lines, some that only csv reads."""
+    header = draw(st.sampled_from([["over"], ["over", "ball", "runs"]]))
+    if len(header) > 1:
+        header = draw(st.permutations([*header, "note"]))
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 30))):
+        fields = {"over": str(i // 2), "ball": draw(KEY_TEXT) + str(i % 2),
+                  "runs": draw(st.sampled_from(["1", "2.5", "", "nan", "x"])),
+                  "note": draw(KEY_TEXT)}
+        shape = draw(st.sampled_from(["plain"] * 12 + ["quoted", "short", "long", "blank",
+                                                        "oversize"]))
+        row = [fields[c] for c in header]
+        if shape == "quoted":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(QUOTED))
+        elif shape == "short":
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row.append("extra")
+        elif shape == "oversize":  # over the limit the test sets
+            row[-1] += "x" * 41
+        lines.append("" if shape == "blank" else ",".join(row))
+    ends = [draw(st.sampled_from(["\n"] * 10 + ["\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):  # no final line end
+        text = text[: -len(ends[-1])]
+    return header, text
+
+
+def block_schema(header):
+    return IngestionSchema("over", "index", key_columns=("ball",) if "ball" in header else (),
+                           measurement_columns=("runs",) if "runs" in header else ())
+
+
+class TestIngestInBlocks:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("blocks") / "overs.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=block_texts(), block=st.sampled_from([8, 16, 24, 48, 1 << 16]))
+    @example(drawn=(["over"], "over\n1\n\n2\n"), block=16)  # a blank line is not one field
+    def test_same_table_or_error(self, gregorian, path, drawn, block):
+        header, text = drawn
+        schema = block_schema(header)
+        path.write_text(text, encoding="utf-8", newline="")
+        limit = csv.field_size_limit(40)  # below the oversize rows
+        try:
+            expected = oracle_outcome(io.StringIO(text, newline=""), schema)
+            with mock.patch.object(table, "TEXT_BLOCK", block):
+                assert outcome(path, schema, gregorian.hierarchy) == expected
+                source = io.StringIO(text, newline="")
+                assert outcome(source, schema, gregorian.hierarchy) == expected
+                # a handle that ends lines at "\n" only is read on by csv as it splits them
+                assert outcome(io.StringIO(text), schema, gregorian.hierarchy) == oracle_outcome(
+                    io.StringIO(text), schema)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_text_file_after_next_is_read_by_csv(self, gregorian, tmp_path):
+        # such a file cannot tell its position, so it is read as an iterable of lines
+        path = tmp_path / "overs.csv"
+        path.write_text("# preamble\nover,ball\n1,b\n2,b\n", encoding="utf-8")
+        schema = block_schema(["over", "ball"])
+        with open(path, encoding="utf-8", newline="") as handle:
+            next(handle)
+            with pytest.raises(OSError):
+                handle.tell()
+            assert ingest(handle, schema, gregorian.hierarchy).index.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("late, kind", [
+        ('30,b,1,"a,b"', "duplicate-row"), ("30,b", "short-row"), ("", "short-row"),
+    ], ids=["quoted", "short", "blank"])
+    def test_rows_after_hand_over_numbered_on(self, gregorian, tmp_path, late, kind):
+        # blocks of plain rows are split, then csv reads on from the block with row 32
+        lines = ["over,ball,runs,note", *(f"{i},b,1,n" for i in range(40))]
+        lines[31] = late
+        lines[36] = "30,b,1,n"  # row 37, a duplicate of row 32 if that is whole
+        path = tmp_path / "overs.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        plain = []
+        split = table._plain_fields
+
+        def spy(*args):
+            fields = split(*args)
+            plain.append(fields is not None)
+            return fields
+
+        schema = block_schema(lines[0].split(","))
+        with mock.patch.object(table, "TEXT_BLOCK", 64), mock.patch.object(
+                table, "_plain_fields", spy):
+            got = outcome(path, schema, gregorian.hierarchy)
+        assert plain[:2] == [True, True] and False in plain
+        assert got == oracle_outcome(io.StringIO(path.read_text(encoding="utf-8"), newline=""),
+                                     schema)
+        assert got[0] == kind
+        assert got[1].startswith("row 37:" if kind == "duplicate-row" else "row 32:")
 
 
 class TestEnumerate:
@@ -484,6 +606,95 @@ def test_export_contains_cyclic_columns(gregorian):
     assert lines[0] == "timestamp,customer,index,kwh,halfhour_day"
     assert lines[1] == "2012-01-01 00:00,c1,0,0.5,0"
     assert len(lines) == 5
+
+
+NAMES = st.text(max_size=4) | st.sampled_from(
+    [",", ";", '"', "\r", "\n", "a\r\nb", " lead", "", "naïve", "日曜日", "tab\t", "x|y", "0",
+     "-1.5e+20", "nan", "\x00"])
+MEASUREMENTS = st.floats(allow_infinity=False) | st.sampled_from(
+    [math.nan, -0.0, 1e-20, 1e300, 5e-324, 1e-310])
+CYCLIC = st.integers(0, 40) | st.integers(2**16, 2**40)
+INDEXES = st.integers(0, 2**63 - 1) | st.sampled_from([0, 1, 2**63 - 2, 2**63 - 1])
+EXPORT_DELIMITERS = st.sampled_from([",", ";", "\t", "|", "0", "1", ".", "-", "e", "n"])
+
+
+@st.composite
+def granular_tables(draw):
+    """Tables with text, index, measurement and cyclic columns of every kind csv quotes."""
+    n = draw(st.integers(0, 12))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return GranularTable(
+        index=np.array(column(INDEXES), dtype=np.int64),
+        timestamps=tuple(column(NAMES)),
+        timestamp_column=draw(NAMES),
+        keys={draw(NAMES): tuple(column(NAMES)) for _ in range(draw(st.integers(0, 2)))},
+        measurements={draw(NAMES): np.array(column(MEASUREMENTS), dtype=np.float64)
+                      for _ in range(draw(st.integers(0, 2)))},
+        cyclic={draw(NAMES): (None, np.array(column(CYCLIC), dtype=np.int64))
+                for _ in range(draw(st.integers(0, 3)))},
+    )
+
+
+class TestExportMatchesOracle:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("export")
+        return where / "got.csv", where / "want.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=granular_tables(), delimiter=EXPORT_DELIMITERS,
+           block=st.sampled_from([8, 64, 1 << 16]))
+    def test_same_bytes_as_row_by_row_csv_writer(self, paths, t, delimiter, block):
+        got, want = io.StringIO(), io.StringIO()
+        export_table_oracle(t, want, delimiter)
+        with mock.patch.object(table, "TEXT_BLOCK", block):
+            export_table(t, got, delimiter)
+            export_table(t, paths[0], delimiter)
+        assert got.getvalue() == want.getvalue()
+        with open(paths[1], "w", encoding="utf-8", newline="") as handle:
+            export_table_oracle(t, handle, delimiter)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_does_not_grow_with_rows(tmp_path):
+    # several blocks of rows at 1x; the text is made a block at a time, so 4x peaks no higher
+    def meter(n):
+        rng = np.random.default_rng(7)
+        return GranularTable(
+            index=np.arange(n, dtype=np.int64) * 3,
+            timestamps=tuple(f"2012-01-01 {i:08d}" for i in range(n)),
+            timestamp_column="timestamp", keys={"customer": ("c1", "c2") * (n // 2)},
+            measurements={"kwh": rng.random(n).round(3)},
+            cyclic={"hour_day": (None, np.arange(n, dtype=np.int64) % 24)},
+        )
+    small, large = meter(20_000), meter(80_000)
+    peaks = [traced_peak(lambda: export_table(t, tmp_path / "t.csv")) for t in (small, large)]
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_ingest_memory_holds_the_kept_columns(tmp_path):
+    # seven columns, three kept: 21,600 rows, the cricket fixture three times over. The
+    # row-by-row csv reader peaked at 4,722,049 bytes on it (CPython 3.11); splitting
+    # blocks holds only the kept fields and one block
+    path = tmp_path / "cricket.csv"
+    write_cricket_csv(path, match_counts=(6, 8, 7, 9) * 3)
+    schema = IngestionSchema("over_index", "index", key_columns=("ball",),
+                             measurement_columns=("runs",))
+    hierarchy = cricket_calendar().hierarchy
+    assert len(ingest(path, schema, hierarchy)) == 21_600  # and the first call's imports are made
+    assert traced_peak(lambda: ingest(path, schema, hierarchy)) <= 4_722_049
 
 
 @pytest.mark.parametrize("delimiter", [";;", ""])
