@@ -21,6 +21,12 @@ other side taken at one point per block. This is the paper's nested
 ordering made exact. The grid points in the partial blocks at the two
 ends of the span are scanned.
 
+Periodic granularities repeat exactly (periodical, Bettini et al. 2000):
+a pair's values at z + P are those at z, and its stride grid shifted by P
+is the same grid, when P (its joint period) is a multiple of the repeats
+of both rungs of both sides. A span of q >= 2 joint periods counts its
+first period (by product or scan) q times, plus the rest.
+
 A screen counts all of its pairs together, one block of points at a
 time: each block gets the values of each descriptor once, and each pair
 is one ``bincount`` over them. A table's cyclic columns are read for the
@@ -42,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .calfile import Calendar
-from .cyclic import CIRCULAR, CyclicDescriptor, evaluate
+from .cyclic import APERIODIC, CIRCULAR, CyclicDescriptor, evaluate
 from .errors import ComputationError
 from .table import GranularTable, csv_writer
 
@@ -199,6 +205,25 @@ def _plan(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, span: Index
     return stride, None
 
 
+def _joint_period(cal: Calendar, descriptors: Sequence[CyclicDescriptor]) -> int | None:
+    """Bottom units after which all ``descriptors`` repeat, None if one is aperiodic: the lcm
+    of their lower- and upper-rung repeats (a lower rung may slide across the upper)."""
+    roots = [d.root for d in descriptors]
+    if any(d.kind == APERIODIC for d in roots):
+        return None
+    return lcm(*(cal.hierarchy.repeat(rung) for d in roots for rung in (d.lower, d.upper)))
+
+
+def _folds(span: IndexSpan, period: int | None) -> tuple[tuple[int, IndexSpan], ...]:
+    """(weight, part)s whose weighted counts are the span's: the first of q >= 2
+    whole periods, weighted q, then the rest; else the span itself, weighted 1."""
+    q = span.length // period if period else 0
+    if q < 2:
+        return ((1, span),)
+    end, rest = span.start + q * period, span.length % period
+    return ((q, IndexSpan(period, span.start)), *([(1, IndexSpan(rest, end))] if rest else []))
+
+
 def _occupancy(
     data: GranularTable | IndexSpan, ds: Sequence[CyclicDescriptor],
     pairs: Sequence[tuple[int, int]], cal: Calendar,
@@ -207,9 +232,10 @@ def _occupancy(
 
     A table is counted in one pass, reading the cyclic columns it holds
     for a descriptor. A span's pairs are all planned first, so the first
-    pair too short for its span raises before anything is counted; nested
-    pairs then count as products, and the others are scanned in one pass
-    per stride. No pairs count nothing.
+    pair too short for its span raises before anything is counted; then a
+    span of two or more joint periods is folded (``_folds``), nested pairs
+    count as products, and the others are scanned in one pass per stride
+    and folds. No pairs count nothing.
     """
     if not pairs:
         return []
@@ -220,20 +246,21 @@ def _occupancy(
         n = len(data.index)
         return [(c, n) for c in _count(ds, pairs, cal, lambda k, m: data.index[k:m], 0, n, held)]
     out: list = [None] * len(pairs)
-    scans: dict[int, list[int]] = {}  # stride: positions in ``pairs`` of its scanned pairs
+    scans: dict[tuple, list[int]] = {}  # (stride, folds): positions in ``pairs`` of its scans
     for p, (stride, nesting) in enumerate([_plan(ds[i], ds[j], cal, data) for i, j in pairs]):
+        folds = _folds(data, _joint_period(cal, [ds[i] for i in pairs[p]]))
         if nesting is None:
-            scans.setdefault(stride, []).append(p)
+            scans.setdefault((stride, folds), []).append(p)
             continue
         cycle, block, flipped = nesting
         i, j = pairs[p][::-1] if flipped else pairs[p]
-        counts = _nested(ds[i], ds[j], cal, data, stride, cycle, block)
+        counts = sum(w * _nested(ds[i], ds[j], cal, part, stride, cycle, block) for w, part in folds)
         out[p] = (counts.T.copy() if flipped else counts, -(-data.length // stride))
-    for stride, group in scans.items():
-        n = -(-data.length // stride)
-        counts = _count(ds, [pairs[p] for p in group], cal, _grid(data, stride), 0, n)
-        for p, c in zip(group, counts):
-            out[p] = (c, n)
+    for (stride, folds), group in scans.items():
+        parts = [(w, _count(ds, [pairs[p] for p in group], cal, _grid(part, stride),
+                            0, -(-part.length // stride))) for w, part in folds]
+        for k, p in enumerate(group):
+            out[p] = (sum(w * counts[k] for w, counts in parts), -(-data.length // stride))
     return out
 
 
@@ -257,6 +284,10 @@ def cross_tab(
     histogram of the other side, one sample per block; the grid points of
     the partial blocks at the two ends are scanned, and a span without a
     whole block is scanned throughout. Every other pair is scanned.
+
+    A span of q >= 2 joint periods of the pair (the lcm of the repeats of
+    both rungs of both sides; none if a side is aperiodic) counts so its
+    first period q times, plus the rest; ``total`` is the whole span's.
 
     A span samples at least one point: ``IndexSpan`` rejects empty spans
     with ``empty-span`` when it is built.
@@ -324,8 +355,10 @@ def harmony_table(
     block (or reading its cyclic column). Over a span, every pair is
     checked against the span before any is counted, so the error names
     the first pair in screen order whose common period the span misses;
+    a pair whose span holds two or more joint periods is counted on its
+    first period, times their number, plus the rest, as in ``cross_tab``;
     nested pairs count as products, and the scanned pairs are grouped by
-    stride, one pass per stride. A block has ``2 * SCAN_BLOCK // n``
+    stride and folds, one pass per group. A block has ``2 * SCAN_BLOCK // n``
     points for n kept descriptors, so it holds at most ``2 * SCAN_BLOCK``
     values and memory does not grow with the number of descriptors, the
     span or the table.

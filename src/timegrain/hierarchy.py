@@ -115,6 +115,11 @@ class Hierarchy:
         """Finest constant block (in bottom units) on which ``rung``'s granule index is constant."""
         return _anchor_block(self._reps[self.position(rung)])
 
+    def repeat(self, rung: str) -> int:
+        """Bottom units after which ``rung``'s granule sizes repeat; its block when regular."""
+        rep = self._reps[self.position(rung)]
+        return _bottom_start(rep, rep.period)
+
     def __post_init__(self) -> None:
         """Check ladder well-formedness, then build the granule locators."""
         if len(self.rungs) < 2:

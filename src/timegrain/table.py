@@ -149,10 +149,10 @@ def ingest(
 
     A text file that can seek (a path is opened into one; ``io.StringIO``
     too) is read ``TEXT_BLOCK`` characters at a time, completed to whole
-    lines. A block is plain when it holds no ``"`` and no ``\\r``, each of
-    its lines has the header's number of fields, and no field is longer
-    than ``csv.field_size_limit()``; a plain block is split at the
-    delimiter and line ends, which reads it as ``csv`` does. From the
+    lines. A block is plain when it holds no ``"`` and no ``\\r`` but in
+    ``\\r\\n``, each of its lines has the header's number of fields, and no
+    field is longer than ``csv.field_size_limit()``; a plain block is split
+    at the delimiter and line ends, which reads it as ``csv`` does. From the
     start of the first block that is not plain, ``csv.reader`` reads the
     rest of the file, numbering rows on from the split ones. Text that
     does not decode while blocks are read is read again by ``csv.reader``
@@ -274,11 +274,13 @@ def _read_blocks(handle, d: str, positions: list[int], width: int, columns: list
 def _plain_fields(block: str, d: str, width: int, limit: int) -> list[str] | None:
     """The fields of ``block``'s lines, row after row, or None unless the block is plain.
 
-    Plain: no ``"`` or ``\\r``, and ``width`` fields on every line (so no
-    blank line), none longer than ``limit``. ``csv`` then reads the lines
-    as ``split`` does. Checked on the UTF-8 bytes, where ``\\n`` and the
-    ASCII ``d`` never occur inside a character.
+    Plain: no ``"``, no ``\\r`` but in ``\\r\\n`` (a line end, to ``csv``), and
+    ``width`` fields on every line (so no blank line), none longer than
+    ``limit``. ``csv`` then reads the lines as ``split`` does. Checked on
+    the UTF-8 bytes, where ``\\n`` and the ASCII ``d`` never occur inside a character.
     """
+    if "\r" in block:  # replace scans the whole block even when nothing matches
+        block = block.replace("\r\n", "\n")
     if '"' in block or "\r" in block:
         return None
     if not block.endswith("\n"):  # the file's last line

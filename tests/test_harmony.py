@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import blocked_structural_scan, constant_block, pair_verdict_oracle
@@ -21,6 +21,7 @@ from timegrain import (
     HarmonyRow,
     IndexSpan,
     OccupancyTable,
+    aperiodic_descriptor,
     augment,
     classify_pair,
     cross_tab,
@@ -482,3 +483,113 @@ def test_observed_screen_matches_bincount(gregorian, ds, n, start, width, seed, 
         assert (occ.counts == once(ci, cj)).all()
     rows = harmony_table(descriptors, table, gregorian, max_levels=400, keep_near_clashes=keep_near)
     assert rows == rows_from_counts(descriptors, once, keep_near)
+
+
+FOLD_PERIOD_CAP = 3000  # joint periods of the descriptors a fold test keeps, in bottom units
+
+
+@st.composite
+def folded_screens(draw):
+    """A ladder of ``screens()``, the descriptors of it whose joint period P stays
+    within ``FOLD_PERIOD_CAP`` (the shortest first), and a span of q * P + r,
+    q in 2 to 6 and r in 0 to P - 1, so every pair of them is folded."""
+    h, descriptors, _ = draw(screens())
+    cal = Calendar(h)
+    descriptors.sort(key=lambda d: harmony._joint_period(cal, [d]))
+    kept, period = [], 1
+    for d in descriptors:
+        joint = harmony._joint_period(cal, [*kept, d])
+        if joint <= FOLD_PERIOD_CAP:
+            kept, period = [*kept, d], joint
+    assume(len(kept) >= 2)
+    length = draw(st.integers(2, 6)) * period + draw(st.integers(0, period - 1))
+    return cal, kept, IndexSpan(length=length, start=draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen=folded_screens(), keep_near=st.booleans())
+def test_folded_counts_match_blocked_scan(screen, keep_near):
+    cal, descriptors, span = screen
+    h = cal.hierarchy
+
+    def scan(ci, cj):
+        stride = gcd(constant_block(h, ci), constant_block(h, cj))
+        return blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, stride)
+
+    for ci, cj in combinations(descriptors, 2):
+        assert span.length // harmony._joint_period(cal, [ci, cj]) >= 2
+        want, n = scan(ci, cj)
+        occ, flipped = cross_tab(span, ci, cj, cal), cross_tab(span, cj, ci, cal)
+        assert occ.total == flipped.total == n
+        assert (occ.counts == want).all()
+        assert (flipped.counts == want.T).all()
+    rows = harmony_table(descriptors, span, cal, max_levels=40, keep_near_clashes=keep_near)
+    assert rows == rows_from_counts(descriptors, lambda ci, cj: scan(ci, cj)[0], keep_near)
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen=screens(), shifts=st.integers(1, 3))
+def test_joint_period_repeats_values(screen, shifts):
+    h, descriptors, span = screen
+    cal = Calendar(h)
+    zs = span.start + np.arange(min(span.length, 5000), dtype=np.int64)
+    for d in descriptors:
+        period = harmony._joint_period(cal, [d])
+        assert (evaluate(h, d, zs + shifts * period) == evaluate(h, d, zs)).all()
+
+
+@pytest.fixture
+def evaluated_points(monkeypatch):
+    """Points at which ``harmony`` evaluates each descriptor, by name."""
+    points: dict[str, int] = {}
+
+    def counted(h, d, z, events=None):
+        points[d.name] = points.get(d.name, 0) + np.size(z)
+        return evaluate(h, d, z, events)
+
+    monkeypatch.setattr(harmony, "evaluate", counted)
+    return points
+
+
+class TestFold:
+    def test_joint_period_counts_both_rungs(self, gregorian, ds):
+        assert harmony._joint_period(gregorian, [ds["hour_day"], ds["day_week"]]) == 7 * 48
+        assert harmony._joint_period(gregorian, [ds["week_month"]]) == 146_097 * 48
+        assert harmony._joint_period(gregorian, [ds["wknd_wday"]]) == 7 * 48
+        # fortnights of 6 and 8 days slide across months of 30 and 31: the month
+        # table repeats after 61 days, where the fortnights inside months do not
+        h = Hierarchy("slide", (Rung("day", IrregularMapping((6, 8))),
+                                Rung("fort", IrregularMapping((30, 31), unit="day")),
+                                Rung("month", ConstantPeriod(1))))
+        fort_month = pairwise_descriptor(h, "fort", "month")
+        assert harmony._joint_period(Calendar(h), [fort_month]) == 854
+        zs = np.arange(2 * 854, dtype=np.int64)
+        assert (evaluate(h, fort_month, zs + 854) == evaluate(h, fort_month, zs)).all()
+        assert (evaluate(h, fort_month, zs + 61) != evaluate(h, fort_month, zs)).any()
+
+    def test_long_nested_span_counts_one_period(self, gregorian, evaluated_points):
+        # 2012 to 2101 in half-hours: 32,507 joint periods of a day
+        h = gregorian.hierarchy
+        ci, cj = pairwise_descriptor(h, "halfhour", "hour"), pairwise_descriptor(h, "hour", "day")
+        span = IndexSpan(32_507 * 48)
+        period = harmony._joint_period(gregorian, [ci, cj])
+        assert period == 48
+        occ = cross_tab(span, ci, cj, gregorian)
+        assert sum(evaluated_points.values()) <= 2 * period
+        want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, 1)
+        assert occ.total == n
+        assert (occ.counts == want).all()
+
+    def test_aperiodic_pair_is_not_folded(self, semester, evaluated_points):
+        h = semester.hierarchy
+        day_week = pairwise_descriptor(h, "day", "week")
+        semester_type = aperiodic_descriptor(semester.events["semester_type"])
+        assert harmony._joint_period(semester, [day_week, semester_type]) is None
+        span = IndexSpan(length=40 * 365, start=3)
+        occ = cross_tab(span, day_week, semester_type, semester)
+        # every day of the span is evaluated on both sides, once
+        assert evaluated_points == {"day_week": span.length, "semester_type": span.length}
+        want, n = blocked_structural_scan(evaluate, h, day_week, semester_type, span.start,
+                                          span.length, 1, semester.events)
+        assert occ.total == n
+        assert (occ.counts == want).all()

@@ -491,6 +491,28 @@ class TestIngestInBlocks:
         assert got[0] == kind
         assert got[1].startswith("row 37:" if kind == "duplicate-row" else "row 32:")
 
+    @pytest.mark.parametrize("block", [7, 64, 1 << 16])
+    def test_crlf_rows_are_split(self, gregorian, tmp_path, block):
+        # blocks of 7 end between "\r" and "\n"; csv reads no row of the file
+        lines = ["over,ball,runs,note", *(f"{i},b,{i % 7},n" for i in range(40))]
+        path = tmp_path / "overs.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        read = []
+        fields = table._read_fields
+
+        def spy(reader, positions, width, rows, first):
+            short = fields(reader, positions, width, rows, first)
+            read.append(len(rows))
+            return short
+
+        schema = block_schema(lines[0].split(","))
+        with mock.patch.object(table, "TEXT_BLOCK", block), mock.patch.object(
+                table, "_read_fields", spy):
+            got = outcome(path, schema, gregorian.hierarchy)
+        assert read == [0]
+        assert got == oracle_outcome(io.StringIO("\n".join(lines) + "\n"), schema)
+        assert got[0] == list(range(40))
+
 
 class TestEnumerate:
     def test_four_rungs_give_six(self, gregorian):
