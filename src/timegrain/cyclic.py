@@ -16,6 +16,7 @@ without revisiting the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -101,15 +102,18 @@ def aperiodic_descriptor(
 
 
 def _quasi_levels(h: Hierarchy, lo: int, hi: int) -> int:
-    """Largest count of whole lower units in any upper granule."""
-    urep = h._reps[hi]
-    bounds = urep.start(np.arange(urep.period + 1))
-    bu = h.bottom_units(h.rungs[lo].name)
-    if bu is not None:
-        counts = (np.diff(bounds) - 1) // bu + 1
-    else:
-        counts = np.diff(h._reps[lo].idx(bounds))
-    return int(counts.max())
+    """Largest value plus one, over the upper granules of one joint period of both
+    rungs, 65,536 at a time: a lower rung that slides across the upper one meets
+    it in another phase in each upper granule until both repeat."""
+    lower, upper = h.rungs[lo].name, h.rungs[hi].name
+    urep, lidx, bu = h._reps[hi], h._reps[lo].idx, h.bottom_units(lower)
+    n = urep.period * lcm(h.repeat(lower), h.repeat(upper)) // h.repeat(upper)
+    most = 0
+    for k in range(0, n, 1 << 16):
+        bounds = urep.start(np.arange(k, min(k + (1 << 16), n) + 1))
+        top = (np.diff(bounds) - 1) // bu if bu else lidx(bounds[1:] - 1) - lidx(bounds[:-1])
+        most = max(most, int(top.max()))
+    return most + 1
 
 
 def evaluate(

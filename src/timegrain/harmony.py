@@ -24,8 +24,10 @@ ends of the span are scanned.
 Periodic granularities repeat exactly (periodical, Bettini et al. 2000):
 a pair's values at z + P are those at z, and its stride grid shifted by P
 is the same grid, when P (its joint period) is a multiple of the repeats
-of both rungs of both sides. A span of q >= 2 joint periods counts its
-first period (by product or scan) q times, plus the rest.
+of both rungs of both sides. Between the exceptions of the rungs'
+sub-periods a shorter p (1,461 days for Gregorian months and years, not
+400 years) does the same: a stretch of q >= 2 periods p counts its first
+p (by product or scan) q times, plus the rest.
 
 A screen counts all of its pairs together, one block of points at a
 time: each block gets the values of each descriptor once, and each pair
@@ -50,6 +52,7 @@ import numpy as np
 from .calfile import Calendar
 from .cyclic import APERIODIC, CIRCULAR, CyclicDescriptor, evaluate
 from .errors import ComputationError
+from .hierarchy import granule_start, linear_granule
 from .table import GranularTable, csv_writer
 
 DEFAULT_NEAR_THRESHOLD = 0.05
@@ -214,14 +217,42 @@ def _joint_period(cal: Calendar, descriptors: Sequence[CyclicDescriptor]) -> int
     return lcm(*(cal.hierarchy.repeat(rung) for d in roots for rung in (d.lower, d.upper)))
 
 
-def _folds(span: IndexSpan, period: int | None) -> tuple[tuple[int, IndexSpan], ...]:
-    """(weight, part)s whose weighted counts are the span's: the first of q >= 2
-    whole periods, weighted q, then the rest; else the span itself, weighted 1."""
-    q = span.length // period if period else 0
-    if q < 2:
+def _folds(cal: Calendar, pair: Sequence[CyclicDescriptor],
+           span: IndexSpan) -> tuple[tuple[int, IndexSpan], ...]:
+    """(weight, part)s of the span whose weighted counts of ``pair`` are the span's.
+
+    From a point, the rungs of both sides are looked up (``local_repeat``)
+    at the earliest start of the sides' upper granules holding it. A stretch
+    of q >= 2 periods p, the lcm of their local repeats, before their first
+    exception is its first p weighted q; the search goes on one p past that
+    exception. Without exceptions p is the joint period; with them, q >= 2
+    joint periods are the first, so split, weighted q. Parts start on the
+    span's grid, as p is a multiple of both anchors.
+    """
+    period, roots, end = _joint_period(cal, pair), [d.root for d in pair], span.start + span.length
+    if period is None:  # an aperiodic side
         return ((1, span),)
-    end, rest = span.start + q * period, span.length % period
-    return ((q, IndexSpan(period, span.start)), *([(1, IndexSpan(rest, end))] if rest else []))
+    h, rungs = cal.hierarchy, dict.fromkeys(rung for d in roots for rung in (d.lower, d.upper))
+    q, rest = divmod(span.length, period)
+    if not any(h.local_repeat(rung, 0)[1] is not None for rung in rungs):  # no exceptions
+        return ((1, span),) if q < 2 else (
+            (q, IndexSpan(period, span.start)), *([(1, IndexSpan(rest, end - rest))] if rest else []))
+    if q >= 2:
+        return (*((q * w, part) for w, part in _folds(cal, pair, IndexSpan(period, span.start))),
+                *(_folds(cal, pair, IndexSpan(rest, end - rest)) if rest else ()))
+    out, pos, done = [], span.start, span.start
+    while pos < end:
+        at = min(granule_start(h, d.upper, linear_granule(h, pos, d.upper)) for d in roots)
+        looked = [h.local_repeat(rung, at) for rung in rungs]
+        p = lcm(*(repeat for repeat, _ in looked))
+        stop = min((stop for _, stop in looked if stop is not None), default=end)
+        q = (min(stop, end) - pos) // p
+        if q >= 2:
+            out += [(1, IndexSpan(pos - done, done))] if done < pos else []
+            out.append((q, IndexSpan(p, pos)))
+            pos = done = pos + q * p
+        pos = end if stop >= end else pos + (max(stop - pos, 0) // p + 1) * p
+    return (*out, *([(1, IndexSpan(end - done, done))] if done < end else []))
 
 
 def _occupancy(
@@ -248,7 +279,7 @@ def _occupancy(
     out: list = [None] * len(pairs)
     scans: dict[tuple, list[int]] = {}  # (stride, folds): positions in ``pairs`` of its scans
     for p, (stride, nesting) in enumerate([_plan(ds[i], ds[j], cal, data) for i, j in pairs]):
-        folds = _folds(data, _joint_period(cal, [ds[i] for i in pairs[p]]))
+        folds = _folds(cal, [ds[i] for i in pairs[p]], data)
         if nesting is None:
             scans.setdefault((stride, folds), []).append(p)
             continue
@@ -285,9 +316,11 @@ def cross_tab(
     the partial blocks at the two ends are scanned, and a span without a
     whole block is scanned throughout. Every other pair is scanned.
 
-    A span of q >= 2 joint periods of the pair (the lcm of the repeats of
-    both rungs of both sides; none if a side is aperiodic) counts so its
-    first period q times, plus the rest; ``total`` is the whole span's.
+    A span is split where a rung of either side breaks its sub-period,
+    and a stretch of q >= 2 periods of the pair (the lcm of the local
+    repeats of both rungs of both sides; none if a side is aperiodic)
+    counts its first period q times, plus the rest (``_folds``); ``total``
+    is the whole span's.
 
     A span samples at least one point: ``IndexSpan`` rejects empty spans
     with ``empty-span`` when it is built.
@@ -355,8 +388,8 @@ def harmony_table(
     block (or reading its cyclic column). Over a span, every pair is
     checked against the span before any is counted, so the error names
     the first pair in screen order whose common period the span misses;
-    a pair whose span holds two or more joint periods is counted on its
-    first period, times their number, plus the rest, as in ``cross_tab``;
+    each pair's span is split and folded by its sub-periods and joint
+    period (``_folds``), as in ``cross_tab``;
     nested pairs count as products, and the scanned pairs are grouped by
     stride and folds, one pass per group. A block has ``2 * SCAN_BLOCK // n``
     points for n kept descriptors, so it holds at most ``2 * SCAN_BLOCK``

@@ -419,7 +419,8 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
     None unless ``fmt`` has a fixed-width ISO 8601 form and every stamp
     has exactly that form: NumPy also reads spellings that strptime
     rejects (``T`` for the space, seconds, bare dates, ``Z``, 5-digit
-    years), and warns on some of them.
+    years, the year 0000), and warns on some of them. The other fields
+    out of range, such as month 13 or hour 24, NumPy rejects too.
     """
     if not _ISO_PATTERN.fullmatch(fmt):
         return None
@@ -435,6 +436,8 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
     try:
         moments = text.astype("datetime64[s]")
     except ValueError:  # a field out of range, such as 2012-02-30
+        return None
+    if moments.min() < np.datetime64("0001-01-01"):  # the year 0000, which NumPy reads
         return None
     start = np.datetime64(origin, "s")
     return (moments - start) // np.timedelta64(int(step.total_seconds()), "s")

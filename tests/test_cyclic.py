@@ -17,6 +17,7 @@ from timegrain import (
     apply_labels,
     compose_up,
     derive_descriptor,
+    enumerate_cyclic,
     evaluate,
     pairwise_descriptor,
     reduce_to_single,
@@ -85,6 +86,29 @@ class TestQuasiCircular:
         assert (vals[resets + 1] == 0).all()
         inside = np.where(steps > 0)[0]
         assert (steps[inside] == 1).all()
+
+    def test_sliding_irregular_lower_counted_over_joint_period(self):
+        # fortnights of 6 and 8 days slide across months of 30 and 31 days; both
+        # come back in phase after lcm(14, 61) = 854 days, not after 61
+        h = Hierarchy("slide", (Rung("day", IrregularMapping((6, 8))),
+                                Rung("fort", IrregularMapping((30, 31), unit="day")),
+                                Rung("month", ConstantPeriod(1))))
+        fort_month = pairwise_descriptor(h, "fort", "month")
+        assert fort_month.levels == evaluate(h, fort_month, np.arange(2 * 854)).max() + 1 == 6
+
+    @pytest.mark.parametrize("ladder, levels", [
+        ("gregorian", {"halfhour_hour": 2, "halfhour_day": 48, "halfhour_week": 336,
+                       "halfhour_month": 1488, "halfhour_year": 17568, "hour_day": 24,
+                       "hour_week": 168, "hour_month": 744, "hour_year": 8784, "day_week": 7,
+                       "day_month": 31, "day_year": 366, "week_month": 5, "week_year": 53,
+                       "month_year": 12}),
+        ("cricket", {"over_inning": 20, "over_match": 40, "over_season": 360, "inning_match": 2,
+                     "inning_season": 18, "match_season": 9}),
+        ("semester", {"day_week": 7}),
+    ])
+    def test_bundled_levels(self, ladder, levels, gregorian, cricket, semester):
+        h = {"gregorian": gregorian, "cricket": cricket, "semester": semester}[ladder].hierarchy
+        assert {d.name: d.levels for d in enumerate_cyclic(h)} == levels
 
 
 class TestExactGregorian:

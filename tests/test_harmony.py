@@ -1,4 +1,5 @@
 import io
+from datetime import date
 import tracemalloc
 from itertools import combinations
 from math import gcd
@@ -28,6 +29,7 @@ from timegrain import (
     derive_descriptor,
     enumerate_cyclic,
     evaluate,
+    granule_start,
     harmony_table,
     pairwise_descriptor,
     write_harmony_table,
@@ -593,3 +595,167 @@ class TestFold:
                                           span.length, 1, semester.events)
         assert occ.total == n
         assert (occ.counts == want).all()
+
+    def test_sliding_irregular_lower_matches_blocked_scan(self):
+        h = Hierarchy("slide", (Rung("day", IrregularMapping((6, 8))),
+                                Rung("fort", IrregularMapping((30, 31), unit="day")),
+                                Rung("month", ConstantPeriod(1))))
+        fort_month = pairwise_descriptor(h, "fort", "month")
+        day_fort = pairwise_descriptor(h, "day", "fort")
+        occ = cross_tab(IndexSpan(2000), fort_month, day_fort, Calendar(h))
+        want, n = blocked_structural_scan(evaluate, h, fort_month, day_fort, 0, 2000, 1)
+        assert occ.total == n
+        assert (occ.counts == want).all()
+
+    def test_fold_reads_back_to_the_upper_start(self):
+        # fort sizes repeat every 4 entries but for entry 1, and forts slide
+        # across months of 10 days; fort_month counts forts from the start of
+        # the month, so a span from day 2 depends on fort 1 (days 1 to 2) and
+        # its first month is not folded
+        cards = (1, 1, 1, 5) + (1, 8, 1, 5) * 5
+        h = Hierarchy("slide", (Rung("day", IrregularMapping(cards)),
+                                Rung("fort", IrregularMapping((10,), unit="day")),
+                                Rung("month", ConstantPeriod(2)), Rung("top", ConstantPeriod(1))))
+        assert h._reps[h.position("fort")].sub == (4, [1, 21])
+        cal, span = Calendar(h), IndexSpan(83, start=2)
+        descriptors = [pairwise_descriptor(h, lower, upper) for lower, upper in
+                       (("day", "fort"), ("day", "month"), ("fort", "month"), ("month", "top"))]
+        for ci, cj in combinations(descriptors, 2):
+            want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, 1)
+            occ = cross_tab(span, ci, cj, cal)
+            assert occ.total == n
+            assert (occ.counts == want).all()
+
+    def test_gregorian_months_and_years_repeat_between_exceptions(self, gregorian):
+        h = gregorian.hierarchy
+        for rung, s in (("month", 48), ("year", 4)):
+            period, exceptions = h._reps[h.position(rung)].sub
+            assert period == s
+            assert len(exceptions) == 6
+            # 1,461 days from 2012, up to the start of 2096's February or year
+            repeat, stop = h.local_repeat(rung, 0)
+            assert repeat == 1461 * 48
+            assert stop == (date(2096, 2 if rung == "month" else 1, 1) - date(2012, 1, 1)).days * 48
+        assert h.local_repeat("week", 5) == (7 * 48, None)
+
+    def test_span_to_2101_folds_before_2096(self, gregorian, ds, evaluated_points):
+        h = gregorian.hierarchy
+        span = IndexSpan((date(2101, 1, 1) - date(2012, 1, 1)).days * 48)
+        ci, cj = ds["day_month"], ds["day_week"]
+        occ = cross_tab(span, ci, cj, gregorian)
+        # three 10,227-day periods to 2096, then the 1,826 days to 2101 one by one
+        assert set(evaluated_points) == {"day_month", "day_week"}
+        assert max(evaluated_points.values()) <= 10_227 + 1_826
+        want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, 48)
+        assert occ.total == n == 32_507
+        assert (occ.counts == want).all()
+
+    def test_28_years_count_one_leap_cycle(self, gregorian, ds, evaluated_points):
+        h = gregorian.hierarchy
+        span = IndexSpan(10_227 * 48)
+        ci, cj = ds["day_month"], ds["month_year"]
+        occ = cross_tab(span, ci, cj, gregorian)
+        assert evaluated_points == {"day_month": 1_461, "month_year": 1_461}
+        want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, 48)
+        assert occ.total == n
+        assert (occ.counts == want).all()
+
+    def test_table_without_repeating_stretch_folds_globally(self, cricket, evaluated_points):
+        h = cricket.hierarchy
+        assert h._reps[h.position("season")].sub is None
+        ci, cj = pairwise_descriptor(h, "match", "season"), pairwise_descriptor(h, "over", "match")
+        period = harmony._joint_period(cricket, [ci, cj])
+        span = IndexSpan(3 * period + 17 * 20, start=13 * 20)
+        assert harmony._folds(cricket, [ci, cj], span) == (
+            (3, IndexSpan(period, span.start)), (1, IndexSpan(17 * 20, span.start + 3 * period)))
+        occ = cross_tab(span, ci, cj, cricket)
+        folded = dict(evaluated_points)
+        evaluated_points.clear()
+        for part in (IndexSpan(period, span.start), IndexSpan(17 * 20, span.start + 3 * period)):
+            cross_tab(part, ci, cj, cricket)
+        assert folded == evaluated_points  # as many points as the global fold
+        want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, 1)
+        assert occ.total == n
+        assert (occ.counts == want).all()
+
+    def test_span_of_global_periods_evaluates_no_more(self, gregorian, ds, evaluated_points):
+        h = gregorian.hierarchy
+        ci, cj = ds["day_month"], ds["day_week"]
+        period = harmony._joint_period(gregorian, [ci, cj])
+        assert period == 146_097 * 48
+        span = IndexSpan(2 * period + 1_000 * 48 + 5, start=3 * 48)
+        occ = cross_tab(span, ci, cj, gregorian)
+        # the global fold alone evaluates one period and the rest, at one point a day
+        limit = 146_097 + 1_001
+        assert max(evaluated_points.values()) <= limit
+        want, n = blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, 48)
+        assert occ.total == n
+        assert (occ.counts == want).all()
+
+
+@st.composite
+def motif_screens(draw):
+    """A ladder whose irregular table is a motif tiled several times with a
+    few entries changed, its descriptors of at most 40 levels plus one
+    derived, and a span that starts anywhere in its first cycles and runs
+    across the changed entries.
+
+    The ladder is one of ``screen_ladder`` with that table, or one whose
+    "fort" granules are sized by it in days and slide across months of a
+    second table counted in days, so that ``fort_month`` reads the fort
+    table where the month starts, before the point it is evaluated at.
+    """
+    motif = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    table = motif * draw(st.integers(4, 16))
+    changed = draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=2))
+    for k in changed:
+        table[k] = draw(st.integers(1, 9))
+    fine = draw(st.sampled_from([0, 2]))
+    if draw(st.booleans()):
+        months = tuple(draw(st.lists(st.integers(6, 20), min_size=1, max_size=2)))
+        rungs = [Rung("day", IrregularMapping(tuple(table))),
+                 Rung("fort", IrregularMapping(months, unit="day")),
+                 Rung("month", ConstantPeriod(draw(st.integers(2, 4)))), Rung("top", ConstantPeriod(1))]
+        h, tabled = Hierarchy("slide", (*[Rung("fine", ConstantPeriod(fine))][:bool(fine)], *rungs)), "fort"
+    else:
+        rules = [draw(st.integers(2, 5)), tuple(table),
+                 *draw(st.lists(st.integers(2, 13), min_size=1, max_size=2))]
+        h, tabled = screen_ladder(rules, draw(st.sampled_from([0, 2, 3])), fine), "r2"
+    names = h.rung_names
+    descriptors = [d for d in (pairwise_descriptor(h, names[lo], names[hi])
+                               for lo, hi in combinations(range(len(names)), 2)) if d.levels <= 40]
+    base = draw(st.sampled_from(descriptors))
+    remap = draw(st.lists(st.integers(0, 2), min_size=base.levels, max_size=base.levels))
+    values = sorted(set(remap))
+    descriptors.append(derive_descriptor(base, [values.index(v) for v in remap], "derived"))
+    cycle = h.repeat(tabled)  # bottom units of one cycle of the table
+    # often a little after a changed granule, where a value may read what precedes it
+    near = granule_start(h, tabled, draw(st.sampled_from(changed))) + draw(st.integers(0, 40))
+    span = IndexSpan(length=draw(st.integers(cycle, 3 * cycle)),
+                     start=draw(st.one_of(st.integers(0, 2 * cycle), st.just(near))))
+    return Calendar(h), descriptors, span
+
+
+@settings(max_examples=80, deadline=None)
+@given(screen=motif_screens(), keep_near=st.booleans())
+def test_sub_period_folds_match_blocked_scan(screen, keep_near):
+    cal, descriptors, span = screen
+    h = cal.hierarchy
+
+    def scan(ci, cj):
+        stride = gcd(constant_block(h, ci), constant_block(h, cj))
+        return blocked_structural_scan(evaluate, h, ci, cj, span.start, span.length, stride)
+
+    for ci, cj in combinations(descriptors, 2):
+        try:
+            occ = cross_tab(span, ci, cj, cal)
+        except ComputationError as err:  # a circular pair whose common period the span misses
+            assert err.kind == "insufficient-span"
+            assume(False)
+        want, n = scan(ci, cj)
+        flipped = cross_tab(span, cj, ci, cal)
+        assert occ.total == flipped.total == n
+        assert (occ.counts == want).all()
+        assert (flipped.counts == want.T).all()
+    rows = harmony_table(descriptors, span, cal, max_levels=40, keep_near_clashes=keep_near)
+    assert rows == rows_from_counts(descriptors, lambda ci, cj: scan(ci, cj)[0], keep_near)

@@ -173,6 +173,15 @@ class TestIngest:
         assert err.value.kind == "unparseable-timestamp"
         assert err.value.message == f"row 3: {stamp!r} does not match '%Y-%m-%d %H:%M'"
 
+    @pytest.mark.parametrize("first", ["2012-01-01 00:00", "2012-1-1 0:0"],
+                             ids=["fixed-width", "strptime"])
+    def test_year_zero_rejected_on_both_paths(self, gregorian, first):
+        rows = [f"{first},c1,0.5", "0000-01-01 00:00,c1,0.5"]
+        with pytest.raises(DataError) as err:
+            ingest(make_csv(rows), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "unparseable-timestamp"
+        assert err.value.message == "row 3: '0000-01-01 00:00' does not match '%Y-%m-%d %H:%M'"
+
     @pytest.mark.parametrize("fmt, origin, step", [
         ("%Y-%m-%d", "2012-01-01", "1d"),
         ("%Y-%m-%d %H", "2012-01-01 00", "1h"),
@@ -287,6 +296,14 @@ STAMP_SPELLINGS = {
     "bare-date": lambda t: t.strftime("%Y-%m-%d"),
     "no-such-day": lambda t: "2012-02-30 00:00",
     "pre-origin": lambda t: "2011-12-31 23:30",
+    # fields out of range, which strptime rejects; NumPy reads only the year 0000
+    "year-zero": lambda t: "0000-01-01 00:00",
+    "month-zero": lambda t: "2012-00-01 00:00",
+    "month-13": lambda t: "2012-13-01 00:00",
+    "day-zero": lambda t: "2012-01-00 00:00",
+    "no-leap-2100": lambda t: "2100-02-29 00:00",
+    "hour-24": lambda t: "2012-01-01 24:00",
+    "minute-60": lambda t: "2012-01-01 00:60",
 }
 DAY_FIRST_SPELLINGS = {
     # strptime accepts these two; no datetime64 conversion reads the pattern
