@@ -34,6 +34,7 @@ from .hierarchy import (
 CIRCULAR = "circular"
 QUASI_CIRCULAR = "quasi_circular"
 APERIODIC = "aperiodic"
+LEVEL_WALK_CAP = 1 << 22  # most upper granules a quasi-circular level count walks
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,15 @@ def aperiodic_descriptor(
 
 
 def _quasi_levels(h: Hierarchy, lo: int, hi: int) -> int:
-    """Largest value plus one, over the upper granules of one joint period of both
-    rungs, 65,536 at a time: a lower rung that slides across the upper one meets
-    it in another phase in each upper granule until both repeat."""
+    """Largest value plus one over one joint period of both rungs, 65,536 upper
+    granules at a time (at most ``LEVEL_WALK_CAP``, else ``unsupported-span``): a
+    sliding lower rung meets the upper one in another phase in each granule."""
     lower, upper = h.rungs[lo].name, h.rungs[hi].name
     urep, lidx, bu = h._reps[hi], h._reps[lo].idx, h.bottom_units(lower)
     n = urep.period * lcm(h.repeat(lower), h.repeat(upper)) // h.repeat(upper)
+    if n > LEVEL_WALK_CAP:
+        raise ComputationError("unsupported-span", f"{lower!r} and {upper!r} repeat together only "
+                               f"after {n} {upper!r} granules; levels are counted over {LEVEL_WALK_CAP}")
     most = 0
     for k in range(0, n, 1 << 16):
         bounds = urep.start(np.arange(k, min(k + (1 << 16), n) + 1))

@@ -24,10 +24,9 @@ ends of the span are scanned.
 Periodic granularities repeat exactly (periodical, Bettini et al. 2000):
 a pair's values at z + P are those at z, and its stride grid shifted by P
 is the same grid, when P (its joint period) is a multiple of the repeats
-of both rungs of both sides. Between the exceptions of the rungs'
-sub-periods a shorter p (1,461 days for Gregorian months and years, not
-400 years) does the same: a stretch of q >= 2 periods p counts its first
-p (by product or scan) q times, plus the rest.
+of both rungs of both sides, and between the exceptions of their
+sub-periods so does a shorter p (1,461 days for Gregorian months and
+years): a stretch of q >= 2 periods counts its first q times, plus the rest.
 
 A screen counts all of its pairs together, one block of points at a
 time: each block gets the values of each descriptor once, and each pair
@@ -221,22 +220,19 @@ def _folds(cal: Calendar, pair: Sequence[CyclicDescriptor],
            span: IndexSpan) -> tuple[tuple[int, IndexSpan], ...]:
     """(weight, part)s of the span whose weighted counts of ``pair`` are the span's.
 
-    From a point, the rungs of both sides are looked up (``local_repeat``)
-    at the earliest start of the sides' upper granules holding it. A stretch
-    of q >= 2 periods p, the lcm of their local repeats, before their first
-    exception is its first p weighted q; the search goes on one p past that
-    exception. Without exceptions p is the joint period; with them, q >= 2
-    joint periods are the first, so split, weighted q. Parts start on the
-    span's grid, as p is a multiple of both anchors.
+    A span of q >= 2 joint periods is its first, split in turn and weighted
+    q, plus the rest. In a shorter one, from a point, the rungs of both sides
+    are looked up (``local_repeat``) at the earliest start of the sides'
+    upper granules holding it: a stretch of q >= 2 periods p, the lcm of
+    their local repeats, before their first exception is its first p
+    weighted q, and the search goes on one p past that exception. Parts
+    start on the span's grid, as p is a multiple of both anchors.
     """
     period, roots, end = _joint_period(cal, pair), [d.root for d in pair], span.start + span.length
     if period is None:  # an aperiodic side
         return ((1, span),)
     h, rungs = cal.hierarchy, dict.fromkeys(rung for d in roots for rung in (d.lower, d.upper))
     q, rest = divmod(span.length, period)
-    if not any(h.local_repeat(rung, 0)[1] is not None for rung in rungs):  # no exceptions
-        return ((1, span),) if q < 2 else (
-            (q, IndexSpan(period, span.start)), *([(1, IndexSpan(rest, end - rest))] if rest else []))
     if q >= 2:
         return (*((q * w, part) for w, part in _folds(cal, pair, IndexSpan(period, span.start))),
                 *(_folds(cal, pair, IndexSpan(rest, end - rest)) if rest else ()))
@@ -263,10 +259,10 @@ def _occupancy(
 
     A table is counted in one pass, reading the cyclic columns it holds
     for a descriptor. A span's pairs are all planned first, so the first
-    pair too short for its span raises before anything is counted; then a
-    span of two or more joint periods is folded (``_folds``), nested pairs
-    count as products, and the others are scanned in one pass per stride
-    and folds. No pairs count nothing.
+    pair too short for its span raises before anything is counted; then
+    each pair's span is folded (``_folds``), nested pairs count as
+    products, and the others are scanned in one pass per stride and folds,
+    which evaluates a descriptor once in each. No pairs count nothing.
     """
     if not pairs:
         return []

@@ -23,10 +23,10 @@ it keeps only the prefix sums and locates by binary search, so memory
 stays bounded on long coprime tables. The ladder alone decides which.
 
 An irregular locator on a regular anchor also finds its sub-period when
-built: Gregorian months repeat every 48 and years every 4 but for 6
-exceptions in 400 years, periodicity with a finite set of exceptions
-(Bettini et al. 2000). That takes about 0.3 ms for the 4,800 Gregorian
-months, and ``Hierarchy.local_repeat`` then looks it up by bisection.
+built, in about 0.3 ms for the 4,800 Gregorian months, which repeat every
+48 (years every 4) but for 6 exceptions in 400 years: periodicity with a
+finite set of exceptions (Bettini et al. 2000), which ``local_repeat``
+looks up by bisection.
 
 The relativity checks between rungs
 (finer-than, groups-into and periodical, after Bettini et al., *Time
@@ -133,8 +133,8 @@ class Hierarchy:
         repeat every ``repeat`` bottom units from there up to ``stop``, the start of
         the next exception of its sub-period; without one, ``repeat(rung)`` and None."""
         rep = self._reps[self.position(rung)]
-        if getattr(rep, "sub", None) is None:
-            return _bottom_start(rep, rep.period), None
+        if rep.sub is None:
+            return self.repeat(rung), None
         (s, exceptions), r, i = rep.sub, rep.repetition, _granule(rep, z)
         at = bisect_left(exceptions, i % r)  # else the first exception of the next cycle
         stop = i - i % r + (exceptions[at] if at < len(exceptions) else r + exceptions[0])
@@ -208,6 +208,7 @@ class _Regular:
 
     __slots__ = ("block",)
     period = 1  # granules after which their sizes in bottom units repeat
+    sub = None  # no sub-period: every granule is alike
 
     def __init__(self, block: int):
         self.block = block

@@ -419,8 +419,7 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
     None unless ``fmt`` has a fixed-width ISO 8601 form and every stamp
     has exactly that form: NumPy also reads spellings that strptime
     rejects (``T`` for the space, seconds, bare dates, ``Z``, 5-digit
-    years, the year 0000), and warns on some of them. The other fields
-    out of range, such as month 13 or hour 24, NumPy rejects too.
+    years, the year 0000) and warns on some; it rejects month 13, hour 24.
     """
     if not _ISO_PATTERN.fullmatch(fmt):
         return None

@@ -22,6 +22,7 @@ from timegrain import (
     pairwise_descriptor,
     reduce_to_single,
 )
+from timegrain.cyclic import LEVEL_WALK_CAP
 from timegrain.fixtures import gregorian_calendar
 
 
@@ -95,6 +96,17 @@ class TestQuasiCircular:
                                 Rung("month", ConstantPeriod(1))))
         fort_month = pairwise_descriptor(h, "fort", "month")
         assert fort_month.levels == evaluate(h, fort_month, np.arange(2 * 854)).max() + 1 == 6
+
+    def test_sliding_levels_over_a_long_joint_period_raise(self):
+        # 300,001 months summing to 9,000,031 days, coprime to the 14-day
+        # fortnights: they come back in phase after 14 * 300,001 months
+        h = Hierarchy("long", (Rung("day", IrregularMapping((6, 8))),
+                               Rung("fort", IrregularMapping((30,) * 300_000 + (31,), unit="day")),
+                               Rung("month", ConstantPeriod(1))))
+        assert 14 * 300_001 > LEVEL_WALK_CAP
+        with pytest.raises(ComputationError) as err:
+            pairwise_descriptor(h, "fort", "month")
+        assert err.value.kind == "unsupported-span" and "after 4200014 'month'" in err.value.message
 
     @pytest.mark.parametrize("ladder, levels", [
         ("gregorian", {"halfhour_hour": 2, "halfhour_day": 48, "halfhour_week": 336,
