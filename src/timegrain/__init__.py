@@ -14,17 +14,14 @@ from .cyclic import (
     CyclicDescriptor,
     aperiodic_descriptor,
     apply_labels,
-    compose_up,
     derive_descriptor,
     evaluate,
     pairwise_descriptor,
-    reduce_to_single,
 )
 from .distill import (
     DEFAULT_PROBS,
     CellSummaries,
     CellSummary,
-    LevelsCategory,
     PlotSpec,
     Recommendation,
     categorize_levels,

@@ -6,11 +6,6 @@ upper-granule. Regular pairs reduce to modular arithmetic; pairs crossing
 an irregular rung count whole lower units elapsed since the upper granule
 started. Aperiodic granularities categorize the index through an event
 calendar instead of a rung pair.
-
-``compose_up`` and ``reduce_to_single`` implement the order-up algebra on
-proper chains: multi-order values assembled from single-order ones, and
-narrower single-order values recovered from a known multi-order value
-without revisiting the index.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .hierarchy import (
     AperiodicEventCalendar,
-    ConstantPeriod,
     Hierarchy,
     IrregularMapping,
     is_scalar,
@@ -150,110 +144,6 @@ def evaluate(
             lrep = h._reps[h.position(d.lower)]
             out = lrep.idx(z) - lrep.idx(ustart)
     return int(out) if is_scalar(z) else np.asarray(out, dtype=np.int64)
-
-
-def _effective_steps(h: Hierarchy, lo: int, hi: int):
-    """Chain of (from_pos, to_pos, rule) steps with sliding rungs collapsed out."""
-    seq = [lo]
-    steps: list[tuple[int, int, object]] = []
-    pos = lo
-    while pos < hi:
-        rule = h.rungs[pos].rule
-        if isinstance(rule, ConstantPeriod):
-            steps.append((pos, pos + 1, rule))
-            seq.append(pos + 1)
-        else:
-            upos = h.position(rule.unit) if rule.unit else pos
-            if upos not in seq:
-                raise ComputationError(
-                    "unsupported-span",
-                    f"{h.rungs[lo].name!r} slides across {h.rungs[pos + 1].name!r} boundaries; "
-                    "no chain composition exists",
-                )
-            while seq[-1] != upos:
-                seq.pop()
-                steps.pop()
-            steps.append((upos, pos + 1, rule))
-            seq.append(pos + 1)
-        pos += 1
-    return steps
-
-
-def compose_up(h: Hierarchy, lower: str, upper: str, z: int) -> int:
-    """Multi-order-up value assembled recursively from single-order-up values.
-
-    Supports chains with at most one irregular rung; spans needing more
-    raise ``unsupported-span``.
-    """
-    lo, hi = h.position(lower), h.position(upper)
-    if lo >= hi:
-        raise ValidationError("bad-span", f"{lower!r} must sit below {upper!r}")
-    steps = _effective_steps(h, lo, hi)
-    irregular = [k for k, s in enumerate(steps) if isinstance(s[2], IrregularMapping)]
-    if len(irregular) > 1:
-        raise ComputationError(
-            "unsupported-span",
-            f"span {lower}..{upper} crosses {len(irregular)} irregular rungs; only one is supported",
-        )
-    reps = h._reps
-
-    def single_circular(step) -> int:
-        frm, to, rule = step
-        return int(reps[frm].idx(z)) % rule.period
-
-    if not irregular:
-        # all-circular recursion: sum of single-order values scaled by
-        # the lower-unit size of each intermediate rung
-        total, coeff = 0, 1
-        for step in steps:
-            total += coeff * single_circular(step)
-            coeff *= step[2].period
-        return total
-
-    k = irregular[0]
-    frm, to, rule = steps[k]
-    below, coeff = 0, 1
-    for step in steps[:k]:
-        below += coeff * single_circular(step)
-        coeff *= step[2].period
-    # offset of z's frm-granule within its to-granule (irregular single-order)
-    to_idx = int(reps[to].idx(z))
-    frm_at_start = int(reps[frm].idx(reps[to].start(to_idx)))
-    quasi = int(reps[frm].idx(z)) - frm_at_start
-    value = below + coeff * quasi
-    if to == hi:
-        return value
-    # circular granularities above the irregular rung: add the sizes of the
-    # to-granules already completed inside the current upper granule
-    p_above = 1
-    for step in steps[k + 1 :]:
-        p_above *= step[2].period
-    above = int(reps[to].idx(z)) % p_above
-    hi_idx = int(reps[hi].idx(z))
-    to_at_upper_start = int(reps[to].idx(reps[hi].start(hi_idx)))
-    cards = rule.cardinalities
-    rep_len = len(cards)
-    for w in range(above):
-        value += coeff * cards[(to_at_upper_start + w) % rep_len]
-    return value
-
-
-def reduce_to_single(
-    h: Hierarchy,
-    known: tuple[str, str, int],
-    target: tuple[str, str],
-) -> int:
-    """Narrower cyclic value recovered from a wider one, all-circular spans only."""
-    l2, m2, value = known
-    l1, m1 = target
-    p_l2, p_m2 = h.position(l2), h.position(m2)
-    p_l1, p_m1 = h.position(l1), h.position(m1)
-    if not (p_l2 <= p_l1 < p_m1 <= p_m2):
-        raise ValidationError(
-            "bad-span", f"target {l1}..{m1} must nest inside known {l2}..{m2}"
-        )
-    period_length(h, l2, m2)  # raises irregular-span when the chain is not constant
-    return (value // period_length(h, l2, l1)) % period_length(h, l1, m1)
 
 
 def apply_labels(d: CyclicDescriptor, v: int) -> str:

@@ -114,11 +114,6 @@ class CellSummaries:
 
 
 @dataclass(frozen=True)
-class LevelsCategory:
-    category: str
-
-
-@dataclass(frozen=True)
 class Recommendation:
     """Plotting advice for an (x, facet) pair given its classification."""
 
@@ -341,14 +336,14 @@ def summarize_cells(
     )
 
 
-def categorize_levels(n_levels: int) -> LevelsCategory:
+def categorize_levels(n_levels: int) -> str:
     """low, medium or high up to the matching ``LEVEL_BOUNDS`` entry; very-high beyond."""
     if n_levels < 1:
         raise ValidationError("bad-levels", "a cyclic granularity has at least one level")
     for category, bound in zip(("low", "medium", "high"), LEVEL_BOUNDS):
         if n_levels <= bound:
-            return LevelsCategory(category)
-    return LevelsCategory("very-high")
+            return category
+    return "very-high"
 
 
 _SWAP_NOTE = (
@@ -383,11 +378,9 @@ def recommend(
     f_cat = categorize_levels(facet.levels)
     notes = [_SWAP_NOTE]
     if classification.verdict == "clash":
-        return Recommendation(
-            x.name, facet.name, "clash", x_cat.category, f_cat.category,
-            (), tuple(notes), True, classification.evidence,
-        )
-    if x_cat.category in ("high", "very-high"):
+        return Recommendation(x.name, facet.name, "clash", x_cat, f_cat, (), tuple(notes), True,
+                              classification.evidence)
+    if x_cat in ("high", "very-high"):
         geometries = ["quantile-area"]
     else:
         geometries = ["box", "violin-like-density"]
@@ -400,7 +393,7 @@ def recommend(
         )
         notes.insert(0, f"near-clash: rarely occurring combinations {cells}; summaries there are unreliable")
     return Recommendation(
-        x.name, facet.name, classification.verdict, x_cat.category, f_cat.category,
+        x.name, facet.name, classification.verdict, x_cat, f_cat,
         tuple(geometries), tuple(notes), False, classification.evidence,
     )
 

@@ -60,8 +60,7 @@ def gregorian_calendar(bottom: str = "halfhour", origin_year: int = 2012) -> Cal
     With a sub-day bottom (``halfhour`` or ``minute``) the ladder carries
     a 7-day week rung; its irregular rule to month is anchored on days,
     since weeks slide across month boundaries. The ``hour`` and ``day``
-    bottoms yield the plain chain (day nests straight into month) used by
-    the order-up algebra.
+    bottoms yield the plain chain, in which day nests straight into month.
     """
     months = month_lengths(origin_year, 400)  # 4,800 months, 146,097 days, 20,871 weeks
     if bottom in ("halfhour", "minute"):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .calfile import Calendar
 from .cyclic import APERIODIC, CIRCULAR, CyclicDescriptor, evaluate
-from .errors import ComputationError
+from .errors import ComputationError, ValidationError
 from .hierarchy import granule_start, linear_granule
 from .table import GranularTable, csv_writer
 
@@ -62,7 +62,8 @@ SCAN_BLOCK = 1 << 16  # points of one pair evaluated and counted at a time
 
 @dataclass(frozen=True)
 class IndexSpan:
-    """Half-open synthetic index range [start, start + length); never empty."""
+    """Half-open synthetic index range [start, start + length); never empty, and
+    never past the int64 index."""
 
     length: int
     start: int = 0
@@ -70,6 +71,9 @@ class IndexSpan:
     def __post_init__(self) -> None:
         if self.length <= 0:
             raise ComputationError("empty-span", "span must cover at least one bottom granule")
+        if self.start + self.length > 2**63:
+            raise ValidationError("index-overflow", f"span [{self.start}, {self.start + self.length}) "
+                                  f"runs past the largest index {2**63 - 1}")
 
 
 @dataclass(frozen=True)

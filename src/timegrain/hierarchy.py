@@ -101,10 +101,10 @@ class Hierarchy:
     labels: dict[str, object] = field(default_factory=dict)
 
     def position(self, rung: str) -> int:
-        for i, r in enumerate(self.rungs):
-            if r.name == rung:
-                return i
-        raise ValidationError("unknown-rung", f"no rung named {rung!r} in hierarchy {self.name!r}")
+        pos = self._positions.get(rung)
+        if pos is None:
+            raise ValidationError("unknown-rung", f"no rung named {rung!r} in hierarchy {self.name!r}")
+        return pos
 
     @property
     def rung_names(self) -> tuple[str, ...]:
@@ -144,11 +144,12 @@ class Hierarchy:
         """Check ladder well-formedness, then build the granule locators."""
         if len(self.rungs) < 2:
             raise ValidationError("empty-hierarchy", f"hierarchy {self.name!r} needs at least 2 rungs")
-        seen: set[str] = set()
+        positions: dict[str, int] = {}
         for rung in self.rungs:
-            if rung.name in seen:
+            if rung.name in positions:
                 raise ValidationError("duplicate-rung", f"rung {rung.name!r} declared twice")
-            seen.add(rung.name)
+            positions[rung.name] = len(positions)
+        object.__setattr__(self, "_positions", positions)
         top = self.rungs[-1]
         if not (isinstance(top.rule, ConstantPeriod) and top.rule.period == 1):
             raise ValidationError(
@@ -169,7 +170,7 @@ class Hierarchy:
                     raise ValidationError(
                         "bad-cardinality", f"rung {rung.name!r} has a non-positive cardinality"
                     )
-                if rule.unit is not None and rule.unit not in seen:
+                if rule.unit is not None and rule.unit not in positions:
                     raise ValidationError("bad-unit", f"rung {rung.name!r} references unknown unit {rule.unit!r}")
         # per-rung granule locators, built bottom-up along the ladder; one
         # cycle of each rung must fit the int64 index before numpy sees it

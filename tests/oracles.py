@@ -208,6 +208,109 @@ def blocked_structural_scan(evaluate, h, ci, cj, start: int, length: int, stride
     return counts.reshape(ci.levels, cj.levels), n
 
 
+class OracleError(Exception):
+    """A span the order-up oracle does not cover; ``kind`` names why."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind
+
+
+def _constant_period(h, lo: int, hi: int) -> int:
+    """Product of the constant periods of rungs ``lo`` to ``hi - 1``."""
+    rules = [r.rule for r in h.rungs[lo:hi]]
+    if any(hasattr(rule, "cardinalities") for rule in rules):
+        raise OracleError("irregular-span", f"rungs {lo}..{hi} cross an irregular rung")
+    return math.prod(rule.period for rule in rules)
+
+
+def _effective_steps(h, lo: int, hi: int):
+    """Chain of (from_pos, to_pos, rule) steps with sliding rungs collapsed out."""
+    seq = [lo]
+    steps: list[tuple[int, int, object]] = []
+    for pos in range(lo, hi):
+        rule = h.rungs[pos].rule
+        if not hasattr(rule, "cardinalities"):
+            steps.append((pos, pos + 1, rule))
+            seq.append(pos + 1)
+            continue
+        upos = h.position(rule.unit) if rule.unit else pos
+        if upos not in seq:
+            raise OracleError(
+                "unsupported-span",
+                f"{h.rungs[lo].name!r} slides across {h.rungs[pos + 1].name!r} boundaries; "
+                "no chain composition exists",
+            )
+        while seq[-1] != upos:
+            seq.pop()
+            steps.pop()
+        steps.append((upos, pos + 1, rule))
+        seq.append(pos + 1)
+    return steps
+
+
+def compose_up_oracle(linear_granule, granule_start, h, lower: str, upper: str, z: int) -> int:
+    """Multi-order-up value assembled from single-order-up values (the order-up algebra).
+
+    The reference for ``evaluate`` of a ``pairwise_descriptor`` on chains
+    with at most one irregular rung once sliding rungs are collapsed out.
+    It locates granules through the engine's ``linear_granule`` and
+    ``granule_start`` only, one scalar at a time.
+    """
+    lo, hi = h.position(lower), h.position(upper)
+    if lo >= hi:
+        raise OracleError("bad-span", f"{lower!r} must sit below {upper!r}")
+    steps = _effective_steps(h, lo, hi)
+    irregular = [k for k, s in enumerate(steps) if hasattr(s[2], "cardinalities")]
+    if len(irregular) > 1:
+        raise OracleError(
+            "unsupported-span",
+            f"span {lower}..{upper} crosses {len(irregular)} irregular rungs; only one is supported",
+        )
+    names = h.rung_names
+
+    def idx(pos: int, at: int) -> int:
+        return int(linear_granule(h, at, names[pos]))
+
+    def start(pos: int, i: int) -> int:
+        return int(granule_start(h, names[pos], i))
+
+    # circular single-order values below the irregular step, each scaled by
+    # the lower-unit size of its rung; all of them when there is none
+    k = irregular[0] if irregular else len(steps)
+    value, coeff = 0, 1
+    for frm, _, rule in steps[:k]:
+        value += coeff * (idx(frm, z) % rule.period)
+        coeff *= rule.period
+    if not irregular:
+        return value
+    frm, to, rule = steps[k]
+    # offset of z's frm-granule within its to-granule (irregular single-order)
+    value += coeff * (idx(frm, z) - idx(frm, start(to, idx(to, z))))
+    if to == hi:
+        return value
+    # circular granularities above the irregular rung: add the sizes of the
+    # to-granules already completed inside the current upper granule
+    above = idx(to, z) % math.prod(s[2].period for s in steps[k + 1 :])
+    to_at_upper_start = idx(to, start(hi, idx(hi, z)))
+    cards = rule.cardinalities
+    for w in range(above):
+        value += coeff * cards[(to_at_upper_start + w) % len(cards)]
+    return value
+
+
+def reduce_to_single_oracle(h, known: tuple[str, str, int], target: tuple[str, str]) -> int:
+    """Narrower cyclic value recovered from a wider one, on all-constant spans only."""
+    l2, m2, value = known
+    l1, m1 = target
+    p_l2, p_m2 = h.position(l2), h.position(m2)
+    p_l1, p_m1 = h.position(l1), h.position(m1)
+    if not (p_l2 <= p_l1 < p_m1 <= p_m2):
+        raise OracleError("bad-span", f"target {l1}..{m1} must nest inside known {l2}..{m2}")
+    _constant_period(h, p_l2, p_m2)  # raises irregular-span when the chain is not constant
+    return (value // _constant_period(h, p_l2, p_l1)) % _constant_period(h, p_l1, p_m1)
+
+
 def date_of_index(origin_year: int, z_days: int) -> date:
     return date(origin_year, 1, 1) + timedelta(days=z_days)
 

@@ -217,6 +217,15 @@ FAULTS = {
         )
         for span in ("0", "-4800")
     },
+    **{
+        f"span-past-index-{span}": (
+            {},
+            ["harmony", "--mode", "structural", "--span", span, "--start", start],
+            3,
+            "index-overflow exit=3: span ",
+        )
+        for span, start in (("100000", "9223372036854775000"), ("100002", "9223372036854675807"))
+    },
 }
 
 

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mayan_counters, mayan_pair_value, positional_counters, positional_value
+from oracles import (
+    OracleError,
+    compose_up_oracle,
+    mayan_counters,
+    mayan_pair_value,
+    positional_counters,
+    positional_value,
+    reduce_to_single_oracle,
+)
 from timegrain import (
     ComputationError,
     ConstantPeriod,
@@ -15,15 +23,24 @@ from timegrain import (
     Rung,
     ValidationError,
     apply_labels,
-    compose_up,
     derive_descriptor,
     enumerate_cyclic,
     evaluate,
+    granule_start,
+    linear_granule,
     pairwise_descriptor,
-    reduce_to_single,
 )
 from timegrain.cyclic import LEVEL_WALK_CAP
 from timegrain.fixtures import gregorian_calendar
+
+
+def compose_up(h, lower, upper, z):
+    """The order-up oracle on the engine's public granule locators."""
+    return compose_up_oracle(linear_granule, granule_start, h, lower, upper, z)
+
+
+def evaluate_pair(h, lower, upper, z):
+    return evaluate(h, pairwise_descriptor(h, lower, upper), z)
 
 
 @pytest.fixture(scope="module")
@@ -183,23 +200,27 @@ class TestAperiodic:
 
 
 class TestComposeUp:
+    """``evaluate`` against the order-up composition of single-order values."""
+
     def test_worked_hour_of_month(self, gregorian_hours):
         # hour-of-day 5 on the second day of the month
         h = gregorian_hours.hierarchy
+        assert evaluate_pair(h, "hour", "month", 24 * 1 + 5) == 29
         assert compose_up(h, "hour", "month", 24 * 1 + 5) == 29
 
     def test_day_of_year_march_2013(self, gregorian_hours):
         h = gregorian_hours.hierarchy
         z = (366 + 31 + 28) * 24
+        assert evaluate_pair(h, "day", "year", z) == 59
         assert compose_up(h, "day", "year", z) == 59
 
     def test_mayan_against_counter_oracle(self, mayan):
         h = mayan.hierarchy
         counters = mayan_counters(3 * 7200)
         for z in range(0, 3 * 7200, 97):
-            assert compose_up(h, "uinal", "baktun", z) == mayan_pair_value(
-                counters[z], "uinal", "baktun"
-            )
+            want = mayan_pair_value(counters[z], "uinal", "baktun")
+            assert evaluate_pair(h, "uinal", "baktun", z) == want
+            assert compose_up(h, "uinal", "baktun", z) == want
 
     def test_two_irregular_rungs_rejected(self):
         h = Hierarchy(
@@ -210,13 +231,13 @@ class TestComposeUp:
                 Rung("block", ConstantPeriod(1)),
             ),
         )
-        with pytest.raises(ComputationError) as err:
+        with pytest.raises(OracleError) as err:
             compose_up(h, "day", "block", 10)
         assert err.value.kind == "unsupported-span"
 
     def test_sliding_lower_rejected(self, gregorian):
         # week-of-month is not chain-composable; the evaluator handles it instead
-        with pytest.raises(ComputationError) as err:
+        with pytest.raises(OracleError) as err:
             compose_up(gregorian.hierarchy, "week", "month", 1000)
         assert err.value.kind == "unsupported-span"
 
@@ -239,28 +260,30 @@ class TestComposeUp:
 
 
 class TestReduceToSingle:
+    """The oracle's recovery of a narrower value from a wider one."""
+
     def test_tun_of_katun_from_uinal_of_baktun(self, mayan):
         h = mayan.hierarchy
-        assert reduce_to_single(h, ("uinal", "baktun", 37), ("tun", "katun")) == 2
+        assert reduce_to_single_oracle(h, ("uinal", "baktun", 37), ("tun", "katun")) == 2
 
     def test_identity_target(self, mayan):
         h = mayan.hierarchy
-        assert reduce_to_single(h, ("uinal", "baktun", 37), ("uinal", "baktun")) == 37
+        assert reduce_to_single_oracle(h, ("uinal", "baktun", 37), ("uinal", "baktun")) == 37
 
     def test_day_of_week_from_hour_of_week(self, gregorian):
         h = gregorian.hierarchy
-        assert reduce_to_single(h, ("hour", "week", 73), ("day", "week")) == 3
+        assert reduce_to_single_oracle(h, ("hour", "week", 73), ("day", "week")) == 3
 
     def test_irregular_span_rejected(self, gregorian_hours):
         h = gregorian_hours.hierarchy
-        with pytest.raises(ComputationError) as err:
-            reduce_to_single(h, ("hour", "year", 100), ("hour", "day"))
+        with pytest.raises(OracleError) as err:
+            reduce_to_single_oracle(h, ("hour", "year", 100), ("hour", "day"))
         assert err.value.kind == "irregular-span"
 
     def test_bad_nesting_rejected(self, mayan):
         h = mayan.hierarchy
-        with pytest.raises(ValidationError) as err:
-            reduce_to_single(h, ("uinal", "tun", 5), ("kin", "tun"))
+        with pytest.raises(OracleError) as err:
+            reduce_to_single_oracle(h, ("uinal", "tun", 5), ("kin", "tun"))
         assert err.value.kind == "bad-span"
 
     @settings(max_examples=200, deadline=None)
@@ -273,7 +296,7 @@ class TestReduceToSingle:
                 wide = compose_up(h, names[lo], names[hi], z)
                 for a in range(lo, hi):
                     single = compose_up(h, names[a], names[a + 1], z)
-                    got = reduce_to_single(
+                    got = reduce_to_single_oracle(
                         h, (names[lo], names[hi], wide), (names[a], names[a + 1])
                     )
                     assert got == single
@@ -299,7 +322,7 @@ def chain(rules) -> Hierarchy:
 
 
 class TestAgainstEvaluate:
-    """The order-up algebra and the evaluator agree on random proper chains."""
+    """The evaluator agrees with the order-up oracle on random proper chains."""
 
     @settings(max_examples=60, deadline=None)
     @given(rules=proper_chains(), zs=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
@@ -319,10 +342,10 @@ class TestAgainstEvaluate:
                     if lo <= a < b <= hi:
                         known, target = (names[lo], names[hi], v), (names[a], names[b])
                         if constant:
-                            assert reduce_to_single(h, known, target) == narrow
+                            assert reduce_to_single_oracle(h, known, target) == narrow
                         else:
-                            with pytest.raises(ComputationError):
-                                reduce_to_single(h, known, target)
+                            with pytest.raises(OracleError):
+                                reduce_to_single_oracle(h, known, target)
 
     @settings(max_examples=60, deadline=None)
     @given(bases=st.lists(st.integers(2, 6), min_size=1, max_size=4))

@@ -286,7 +286,7 @@ class TestCategorize:
          (15, "high"), (31, "high"), (32, "very-high"), (744, "very-high")],
     )
     def test_default_bounds(self, n, cat):
-        assert categorize_levels(n).category == cat
+        assert categorize_levels(n) == cat
 
     def test_bad_levels(self):
         with pytest.raises(ValidationError):

@@ -22,6 +22,7 @@ from timegrain import (
     HarmonyRow,
     IndexSpan,
     OccupancyTable,
+    ValidationError,
     aperiodic_descriptor,
     augment,
     classify_pair,
@@ -81,6 +82,19 @@ class TestCrossTab:
         )
         assert occ.counts.sum() == len(smart_table)
         assert occ.mode == "observed"
+
+    def test_span_past_the_int64_index_is_rejected(self, gregorian, ds):
+        with pytest.raises(ValidationError) as err:
+            cross_tab(IndexSpan(1000, 2**63 - 500), ds["hour_day"], ds["day_week"], gregorian)
+        assert err.value.kind == "index-overflow" and err.value.exit_code == 3
+
+    def test_span_up_to_the_last_index_is_counted(self, gregorian, ds):
+        # the last index is 2**63 - 1, counted hour by hour; negative starts stay accepted
+        h, ci, cj = gregorian.hierarchy, ds["hour_day"], ds["day_week"]
+        occ = cross_tab(IndexSpan(100_001, 2**63 - 100_001), ci, cj, gregorian)
+        counts, points = blocked_structural_scan(evaluate, h, ci, cj, 2**63 - 100_001, 100_001, 2)
+        assert occ.total == points == 50_001 and (occ.counts == counts).all()
+        assert IndexSpan(10, -5).start == -5
 
     def test_insufficient_span_for_circular_pair(self, gregorian, ds):
         with pytest.raises(ComputationError) as err:

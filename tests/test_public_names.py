@@ -5,15 +5,15 @@ PUBLIC_NAMES = [
     "APERIODIC", "AperiodicEventCalendar", "CIRCULAR", "Calendar", "CellSummaries", "CellSummary",
     "ComputationError", "ConstantPeriod", "CyclicDescriptor", "DEFAULT_PROBS", "DataError",
     "EventCategory", "GranularTable", "HarmonyRow", "Hierarchy", "IndexSpan",
-    "IngestionSchema", "IrregularMapping", "LevelsCategory", "OccupancyTable",
+    "IngestionSchema", "IrregularMapping", "OccupancyTable",
     "PairClassification", "PlotSpec", "QUASI_CIRCULAR", "Recommendation", "Rung",
     "TimegrainError", "ValidationError", "aperiodic_descriptor", "apply_labels", "augment",
-    "calfile", "categorize_levels", "classify_pair", "compose_up", "cross_tab", "cyclic",
+    "calfile", "categorize_levels", "classify_pair", "cross_tab", "cyclic",
     "derive_descriptor", "distill", "emit_plot_spec", "enumerate_cyclic", "errors",
     "evaluate", "export_table", "finer_than", "format_calendar", "granule_start",
     "groups_into", "harmony", "harmony_table", "hierarchy", "ingest", "is_periodical",
     "letter_value_probabilities", "linear_granule", "load_calendar", "pairwise_descriptor",
-    "parse_calendar", "period_length", "recommend", "reduce_to_single", "save_calendar",
+    "parse_calendar", "period_length", "recommend", "save_calendar",
     "summarize_cells", "table", "write_harmony_table", "write_summaries",
 ]
 
