@@ -11,10 +11,10 @@ Summaries are columns, not records: ``summarize_cells`` returns one
 empty and small cells off the count column and checks each distinct
 quantile grid once. ``PlotSpec.to_json`` and ``write_summaries`` format
 whole columns: each label is JSON-encoded or CSV-quoted once per level,
-each distinct probability formatted once, the values by one pass over
-their column, and each document is one ``%`` or ``join``. Iterating over
-a ``CellSummaries`` yields ``CellSummary`` records, made on demand; the
-writers never do.
+each distinct number (by bit pattern) is formatted once and its text
+placed by index, and each document is one ``%`` or ``join``. Iterating
+over a ``CellSummaries`` yields ``CellSummary`` records, made on demand;
+no function here does.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, islice, pairwise
 from json.encoder import encode_basestring_ascii
 from statistics import NormalDist
 from typing import Iterator, NamedTuple, Sequence
@@ -33,7 +33,7 @@ from .calfile import Calendar
 from .cyclic import CyclicDescriptor, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
-from .table import _NUMBER_CHARS, GranularTable, _csv_quoter, _distinct, _objects
+from .table import _NUMBER_CHARS, GranularTable, _csv_quoter, _formatted, _objects
 from .table import check_delimiter, text_out
 
 # quantile bands: 1-99, 10-90, and 25-75 around the median
@@ -144,21 +144,21 @@ class Recommendation:
 
 
 # the "quantiles" pair of a plot-spec cell as ``json.dumps(indent=2)`` writes it
-_PAIR_JSON = "\n        [\n          %r,\n          %r\n        ]"
+_PAIR_JSON = "\n        [\n          %s,\n          %s\n        ]"
 
 
 def _cell_json(width: int) -> str:
     """The ``%`` template of a "cells" entry with ``width`` quantile pairs, -1 for an empty cell.
 
-    Its slots are the cell's facet part and x part (see ``PlotSpec.to_json``),
-    then, for an occupied cell, n, mean, min and max, and each pair's
-    probability and value.
+    Its ``%s`` slots are the cell's facet part and x part (see
+    ``PlotSpec.to_json``), then, for an occupied cell, n, and the text of
+    mean, min and max and of each pair's probability and value.
     """
     if width < 0:
         return ('%s%s0,\n      "mean": null,\n      "min": null,\n      "max": null,'
                 '\n      "quantiles": []\n    }')
     pairs = "[" + ",".join([_PAIR_JSON] * width) + "\n      ]" if width else "[]"
-    return ('%s%s%r,\n      "mean": %r,\n      "min": %r,\n      "max": %r,'
+    return ('%s%s%s,\n      "mean": %s,\n      "min": %s,\n      "max": %s,'
             '\n      "quantiles": ' + pairs + "\n    }")
 
 
@@ -179,18 +179,13 @@ class PlotSpec:
         """The document as ``json.dumps(indent=2, allow_nan=False)`` writes it, plus a newline.
 
         The head goes through ``json.dumps``. The whole text is then one
-        ``%`` of one template: each level's part of a cell is made once,
-        and numbers fill ``%r`` slots, which write ints and floats as
-        ``json`` does. A non-finite number raises ``json.dumps``'s
-        ``ValueError``, naming the first in document order (the records
-        are searched only then).
+        ``%`` of one template, which only copies text: each level's part
+        of a cell is made once, and each distinct float (by bit pattern) is
+        written once by ``repr``, as ``json`` writes it. A non-finite number
+        raises ``json.dumps``'s ``ValueError``, naming the first in
+        document order: the one with the smallest slot.
         """
         s = self.cells
-        if not all(np.isfinite(col).all() for col in (s.mean, s.minimum, s.maximum, s.probs,
-                                                       s.values)):
-            bad = next(v for c in s for v in (c.mean, c.minimum, c.maximum, *chain(*c.quantiles))
-                       if v is not None and not math.isfinite(v))
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
         head = json.dumps({**self.head, "cells": []}, indent=2, allow_nan=False)
         # only a top-level key sits at indent 2 after a raw newline
         at = head.index('\n  "cells": []') + len('\n  "cells": ')
@@ -216,20 +211,26 @@ class PlotSpec:
         args[first] = facet_parts[f]
         args[first + 1] = x_parts[x]
         at = first[occupied]
-        for k, col in enumerate((s.n[occupied], s.mean, s.minimum, s.maximum), 2):
-            args[at + k] = col.tolist()
+        args[at + 2] = s.n[occupied].tolist()
         # quantile j of occupied cell i fills slots at[i] + 6 + 2 j and the next
         pair = np.repeat(at + 6 - 2 * s.offsets[:-1], width) + 2 * np.arange(len(s.values))
-        probs, which = _distinct(s.probs)
-        args[pair] = _objects(probs)[which]
-        args[pair + 1] = s.values.tolist()
+        numbers = np.concatenate((s.mean, s.minimum, s.maximum, s.probs, s.values))
+        place = np.concatenate((at + 3, at + 4, at + 5, pair, pair + 1))
+        bad = np.flatnonzero(~np.isfinite(numbers))
+        if len(bad):
+            first_bad = float(numbers[bad[np.argmin(place[bad])]])
+            raise ValueError(f"Out of range float values are not JSON compliant: {first_bad!r}")
+        args[place] = _formatted(numbers, repr)
+        # memory peaks in the ``%``: free what it does not read
+        del numbers, place, pair
         shape = np.full(len(s), -1)
         shape[occupied] = width
         templates = {w: _cell_json(w) for w in set(shape.tolist())}
         cells = list(map(templates.__getitem__, shape.tolist()))
         cells[0] = before + "[" + cells[0]
         cells[-1] += "\n  ]" + after
-        return ",".join(cells) % tuple(args)
+        args = tuple(args)
+        return ",".join(cells) % args
 
 
 def letter_value_probabilities(n: int) -> tuple[float, ...]:
@@ -496,9 +497,10 @@ def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None
     one row per quantile of each occupied cell, the probability as
     ``format(p, "g")`` and the value as ``format(v, ".12g")``, and one row
     with blank probability and value and n 0 per empty cell. Each label is
-    quoted once per level and each distinct probability formatted once. A
-    formatted number holds only ``_NUMBER_CHARS``, so csv quotes numbers
-    only when the delimiter is one of them.
+    quoted once per level and each distinct probability and value (by bit
+    pattern) formatted once. A formatted number holds only
+    ``_NUMBER_CHARS``, so csv quotes numbers only when the delimiter is one
+    of them.
     """
     check_delimiter(delimiter)  # before ``out`` is opened
     s, d = summaries, delimiter
@@ -515,9 +517,10 @@ def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None
     pieces = np.empty((len(row_cell), 4), dtype=object)
     pieces[:, 0] = lead[row_cell]
     pieces[:, 3] = _objects(d + number(str(c)) + "\n" for c in s.n.tolist())[row_cell]
-    probs, which = _distinct(s.probs)
-    pieces[filled, 1] = _objects(number(format(p, "g")) + d for p in probs)[which]
-    pieces[filled, 2] = _objects(map(number, map(format, s.values.tolist(), repeat(".12g"))))
+    pieces[filled, 1] = _formatted(s.probs, lambda p: number(format(p, "g")) + d)
+    # "%.12g" % v is format(v, ".12g"); the bound method spares a Python call per value
+    value = "%.12g".__mod__ if number is str else lambda v: number("%.12g" % v)
+    pieces[filled, 2] = _formatted(s.values, value)
     pieces[~filled, 1:3] = ("", d)
     with text_out(out) as handle:
         handle.write(d.join(map(quote, _SUMMARY_HEADER)) + "\n")

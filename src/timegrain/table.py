@@ -534,11 +534,11 @@ def _objects(items: Iterable) -> np.ndarray:
     return np.array(list(items), dtype=object)
 
 
-def _distinct(col: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The distinct floats of ``col`` by bit pattern, and each entry's index among them."""
+def _formatted(col: np.ndarray, fn) -> np.ndarray:
+    """An object array of ``fn(v)`` for each float of ``col``, one call per distinct bit pattern."""
     bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    return bits.view(np.float64).tolist(), inverse
+    return _objects(map(fn, bits.view(np.float64).tolist()))[inverse]
 
 
 def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
@@ -587,11 +587,11 @@ def _column_text(col, d: str, end: str, quote, step: int):
         return map(quote, cells) if d in _NUMBER_CHARS else cells
 
     if col.dtype.kind == "f":
-        def measurement(a, b):
-            values, which = _distinct(col[a:b])
-            cells = numbers(["" if v != v else format(v, ".12g") for v in values])
-            return _objects(cells)[which].tolist(), repeat(end)
-        return measurement
+        number = quote if d in _NUMBER_CHARS else str
+
+        def cell(v):
+            return "" if v != v else number(format(v, ".12g"))
+        return lambda a, b: (_formatted(col[a:b], cell).tolist(), repeat(end))
     if len(col) and 0 <= col.min() and col.max() < min(step, len(col)):
         names = _objects(c + end for c in numbers(map(str, range(col.max() + 1))))
         return lambda a, b: (names[col[a:b]].tolist(),)

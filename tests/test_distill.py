@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import plot_spec_document, quantile_oracle, write_summaries_oracle
+from test_table import traced_peak
 from timegrain import (
     CellSummaries,
     ComputationError,
@@ -437,7 +438,9 @@ LABELS = st.text(max_size=6) | st.sampled_from(
     ['say "hi"', "back\\slash", "naïve", "日曜日", "tab\there", "inf", "nan", "\x00", "\ud800",
      "a,b", "semi;colon", "line\nbreak", "cr\rlf", "100%", "%s%%", '"', " lead", "e1", ""]
 )
-NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+# a few values that repeat, so the writers' shared formatting of equal numbers is exercised
+REPEATED = st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 0.1, 1.0, 2.5, 1e16, 123456789012.5])
+NUMBERS = REPEATED | st.floats(allow_nan=False, allow_infinity=False)
 PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 # every single character can be a delimiter; these are the ones csv treats specially
 # or that a formatted number holds
@@ -581,3 +584,68 @@ def test_summary_export_keeps_empty_cells(gregorian):
     # each empty cell has exactly one row, "facet,x,,,0"
     assert empties == [f"{c.facet_label},{c.x_label},,,0" for c in cells if c.n == 0]
     assert any(ln.split(",")[2] == "" for ln in empties)
+
+
+@pytest.mark.parametrize("head, columns, want", [
+    # a probability is a number of the document too
+    ({}, {"probs": [0.5, math.inf, 0.75], "maximum": [2.0, -math.inf]}, "-inf"),
+    ({}, {"probs": [0.5, math.nan, 0.75], "values": [1.0, math.inf, 2.0]}, "nan"),
+    # the head comes before every cell
+    ({"response": math.nan}, {"mean": [math.inf, 1.0]}, "nan"),
+])
+def test_non_finite_number_is_named_in_document_order(head, columns, want):
+    s = CellSummaries(
+        facet_labels=("f",), x_labels=("a", "b"), n=np.array([2, 3]),
+        mean=np.array([1.0, 2.0]), minimum=np.array([0.5, 1.0]), maximum=np.array([2.0, 3.0]),
+        probs=np.array([0.5, 0.25, 0.75]), values=np.array([1.0, 1.5, 2.5]),
+        offsets=np.array([0, 1, 3]),
+    )
+    spec = PlotSpec({"plot_spec_version": 1, **head},
+                    with_columns(s, **{k: np.array(v) for k, v in columns.items()}))
+    with pytest.raises(ValueError) as err:
+        spec.to_json()
+    assert str(err.value) == f"Out of range float values are not JSON compliant: {want}"
+
+
+def test_signed_zeros_are_written_apart():
+    # each column holds -0.0 and 0.0, which are equal as values but not as bit patterns
+    s = CellSummaries(
+        facet_labels=("f",), x_labels=("a", "b"), n=np.array([2, 3]),
+        mean=np.array([0.0, -0.0]), minimum=np.array([-0.0, 0.0]), maximum=np.array([0.0, -0.0]),
+        probs=np.array([0.5, 0.25, 0.75]), values=np.array([-0.0, 0.0, -0.0]),
+        offsets=np.array([0, 1, 3]),
+    )
+    spec = PlotSpec({"plot_spec_version": 1}, s)
+    text = spec.to_json()
+    assert text == json.dumps(plot_spec_document(spec), indent=2, allow_nan=False) + "\n"
+    cells = json.loads(text)["cells"]
+    assert [str(c[k]) for c in cells for k in ("mean", "min", "max")] == [
+        "0.0", "-0.0", "0.0", "-0.0", "0.0", "-0.0"]
+    assert [str(v) for c in cells for _, v in c["quantiles"]] == ["-0.0", "0.0", "-0.0"]
+    buf = io.StringIO()
+    write_summaries(s, buf)
+    assert buf.getvalue() == "facet,x,prob,value,n\nf,a,0.5,-0,2\nf,b,0.25,0,3\nf,b,0.75,-0,3\n"
+
+
+def test_plot_spec_memory_holds_about_three_texts():
+    # hour_month x day_week over two years of half hours for two customers, readings with
+    # three decimals: 5,208 cells and 36,456 values, the largest pair of the smart-meter data
+    rng = np.random.default_rng(11)
+    rows = 2 * 731 * 48
+    x = CyclicDescriptor("hour_month", "circular", 744)
+    facet = CyclicDescriptor("day_week", "circular", 7)
+    t = GranularTable(
+        index=np.arange(rows, dtype=np.int64), timestamps=("",) * rows, timestamp_column="z",
+        measurements={"kwh": rng.gamma(2.0, 0.3, rows).round(3)},
+        cyclic={"hour_month": (x, rng.integers(0, 744, rows)),
+                "day_week": (facet, rng.integers(0, 7, rows))},
+    )
+    summaries = summarize_cells(t, x, facet, "kwh")
+    assert (len(summaries), len(summaries.values)) == (5_208, 36_456)
+    spec = PlotSpec({"plot_spec_version": 1}, summaries)
+    size = len(spec.to_json())
+    # the text, its template and the text of each distinct number. A writer that kept its
+    # joined number column, slot positions and text array alive through the ``%`` peaked at
+    # 3.65 times the text; one that held a float per number, and formatted it in the ``%``,
+    # just under 3 times
+    assert traced_peak(spec.to_json) <= 3 * size

@@ -698,6 +698,15 @@ class TestExportMatchesOracle:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_export_writes_signed_zeros_apart():
+    # -0.0 and 0.0 are equal as values but not as bit patterns
+    t = GranularTable(index=np.arange(3, dtype=np.int64), timestamps=("a", "b", "c"),
+                      timestamp_column="z", measurements={"v": np.array([-0.0, 0.0, -0.0])})
+    buf = io.StringIO()
+    export_table(t, buf)
+    assert buf.getvalue() == "z,index,v\na,0,-0\nb,1,0\nc,2,-0\n"
+
+
 def traced_peak(run) -> int:
     tracemalloc.start()
     try:
