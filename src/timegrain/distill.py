@@ -33,7 +33,7 @@ from .calfile import Calendar
 from .cyclic import CyclicDescriptor, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
-from .table import _NUMBER_CHARS, GranularTable, _csv_quoter, _formatted, _objects
+from .table import GranularTable, _csv_quoter, _formatted, _objects
 from .table import check_delimiter, text_out
 
 # quantile bands: 1-99, 10-90, and 25-75 around the median
@@ -504,8 +504,7 @@ def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None
     """
     check_delimiter(delimiter)  # before ``out`` is opened
     s, d = summaries, delimiter
-    quote = _csv_quoter(d)
-    number = quote if d in _NUMBER_CHARS else str
+    quote, number = _csv_quoter(d)
     # one row per quantile of an occupied cell, one row for an empty cell
     lines = np.ones(len(s), dtype=np.intp)
     lines[s.n > 0] = np.diff(s.offsets)
@@ -518,9 +517,7 @@ def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None
     pieces[:, 0] = lead[row_cell]
     pieces[:, 3] = _objects(d + number(str(c)) + "\n" for c in s.n.tolist())[row_cell]
     pieces[filled, 1] = _formatted(s.probs, lambda p: number(format(p, "g")) + d)
-    # "%.12g" % v is format(v, ".12g"); the bound method spares a Python call per value
-    value = "%.12g".__mod__ if number is str else lambda v: number("%.12g" % v)
-    pieces[filled, 2] = _formatted(s.values, value)
+    pieces[filled, 2] = _formatted(s.values, lambda v: number(format(v, ".12g")))
     pieces[~filled, 1:3] = ("", d)
     with text_out(out) as handle:
         handle.write(d.join(map(quote, _SUMMARY_HEADER)) + "\n")

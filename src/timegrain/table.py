@@ -514,7 +514,11 @@ _NUMBER_CHARS = frozenset("0123456789.+-einfa")
 
 
 def _csv_quoter(delimiter: str):
-    """``csv.writer``'s form of one field of a row of several, ``delimiter`` between them."""
+    """``csv.writer``'s form of one field of a row of several, ``delimiter`` between them.
+
+    Returned with it is the form of a formatted number: csv quotes one only
+    when ``delimiter`` can occur in it, so else it is ``str``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
 
@@ -526,7 +530,7 @@ def _csv_quoter(delimiter: str):
         writer.writerow((field,))
         return buf.getvalue()[:-1]
 
-    return quote
+    return quote, (quote if delimiter in _NUMBER_CHARS else str)
 
 
 def _objects(items: Iterable) -> np.ndarray:
@@ -553,13 +557,13 @@ def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
     it holds a character that csv quotes.
     """
     check_delimiter(delimiter)  # before ``out`` is opened
-    quote = _csv_quoter(delimiter)
+    quote, number = _csv_quoter(delimiter)
     header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
     columns = [t.timestamps, *t.keys.values(), t.index, *t.measurements.values(),
                *(col for _, col in t.cyclic.values())]
     step = max(1, TEXT_BLOCK // 4 // len(columns))
     ends = [delimiter] * (len(columns) - 1) + ["\n"]
-    texts = [_column_text(col, delimiter, end, quote, step) for col, end in zip(columns, ends)]
+    texts = [_column_text(col, delimiter, end, quote, number, step) for col, end in zip(columns, ends)]
     with text_out(out) as handle:
         handle.write(delimiter.join(map(quote, header)) + "\n")
         for a in range(0, len(t), step):
@@ -567,7 +571,7 @@ def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
             handle.write("".join(chain.from_iterable(zip(*parts))))
 
 
-def _column_text(col, d: str, end: str, quote, step: int):
+def _column_text(col, d: str, end: str, quote, number, step: int):
     """A function of ``(start, stop)`` giving the csv text of ``col``'s rows as sequences to zip.
 
     They are the fields each followed by ``end``, or the fields and a
@@ -583,16 +587,11 @@ def _column_text(col, d: str, end: str, quote, step: int):
             return cells, repeat(end)
         return text
 
-    def numbers(cells):  # csv quotes a formatted number only when the delimiter can occur in one
-        return map(quote, cells) if d in _NUMBER_CHARS else cells
-
     if col.dtype.kind == "f":
-        number = quote if d in _NUMBER_CHARS else str
-
         def cell(v):
             return "" if v != v else number(format(v, ".12g"))
         return lambda a, b: (_formatted(col[a:b], cell).tolist(), repeat(end))
     if len(col) and 0 <= col.min() and col.max() < min(step, len(col)):
-        names = _objects(c + end for c in numbers(map(str, range(col.max() + 1))))
+        names = _objects(number(str(c)) + end for c in range(col.max() + 1))
         return lambda a, b: (names[col[a:b]].tolist(),)
-    return lambda a, b: (numbers(map(str, col[a:b].tolist())), repeat(end))
+    return lambda a, b: (map(number, map(str, col[a:b].tolist())), repeat(end))

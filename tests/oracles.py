@@ -2,13 +2,14 @@
 
 These enumerate granule counters directly (wall-calendar style ticking,
 or stdlib datetime arithmetic) and share no code with the engine under
-test.
+test. ``traced_peak`` measures the memory the code under test takes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -485,3 +486,13 @@ def plot_spec_document(spec) -> dict:
             for s in spec.cells
         ],
     }
+
+
+def traced_peak(run) -> int:
+    """The ``tracemalloc`` peak in bytes while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

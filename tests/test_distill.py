@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import plot_spec_document, quantile_oracle, write_summaries_oracle
-from test_table import traced_peak
+from oracles import plot_spec_document, quantile_oracle, traced_peak, write_summaries_oracle
 from timegrain import (
     CellSummaries,
     ComputationError,

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 from unittest import mock
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import export_table_oracle, ingest_oracle
+from oracles import export_table_oracle, ingest_oracle, traced_peak
 
 from timegrain import (
     DataError,
@@ -705,15 +704,6 @@ def test_export_writes_signed_zeros_apart():
     buf = io.StringIO()
     export_table(t, buf)
     assert buf.getvalue() == "z,index,v\na,0,-0\nb,1,0\nc,2,-0\n"
-
-
-def traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_export_memory_does_not_grow_with_rows(tmp_path):
