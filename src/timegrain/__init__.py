@@ -49,10 +49,7 @@ from .hierarchy import (
     Hierarchy,
     IrregularMapping,
     Rung,
-    finer_than,
     granule_start,
-    groups_into,
-    is_periodical,
     linear_granule,
     period_length,
 )

@@ -32,9 +32,9 @@ A screen counts all of its pairs together, one block of points at a
 time: each block gets the values of each descriptor once, and each pair
 is one ``bincount`` over them. A table's cyclic columns are read for the
 descriptors they were made from, and only the others are evaluated. A
-span's scanned pairs are grouped by stride, and each group is scanned
-once. A block holds at most ``2 * SCAN_BLOCK`` values in all: it has
-``SCAN_BLOCK`` points for one pair, and ``2 * SCAN_BLOCK // n`` for a
+span's pairs leave weighted ranges of their stride's grid to scan, and
+each stride is scanned once. A block holds at most ``2 * SCAN_BLOCK``
+values: ``SCAN_BLOCK`` points for one pair, ``2 * SCAN_BLOCK // n`` for a
 screen of n descriptors, so the memory a screen needs does not grow with
 the span, the table or the number of descriptors.
 """
@@ -42,7 +42,7 @@ the span, the table or the number of descriptors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 from math import gcd, lcm
 from typing import Sequence
 
@@ -123,28 +123,32 @@ def _cycle(cal: Calendar, d: CyclicDescriptor) -> int | None:
 
 
 def _count(
-    ds: Sequence[CyclicDescriptor], pairs: Sequence[tuple[int, int]], cal: Calendar,
-    points, k: int, m: int, held: dict[int, np.ndarray] | None = None,
+    ds: Sequence[CyclicDescriptor], pairs: Sequence[tuple[int, int]], ranges: Sequence[list],
+    cal: Calendar, points, held: dict[int, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """K x L counts of each pair ``(i, j)`` of ``ds`` over points ``k`` to ``m - 1``.
+    """K x L counts of each pair ``(i, j)`` of ``ds``: over each of its ``ranges``
+    ``(w, k, m)``, w times its counts over points ``k`` to ``m - 1``.
 
-    A block gets the values of each descriptor the pairs use once, as
-    ``held[i]`` (a column of its values at every point) sliced or else
-    evaluated at the block's points, and counts each pair by one
-    ``bincount``. A block has ``2 * SCAN_BLOCK // len(ds)`` points, so it
-    holds at most ``2 * SCAN_BLOCK`` values however many descriptors
-    there are.
+    The ranges' ends cut the points into stretches that a range covers
+    entirely or not at all. A stretch is read a block at a time: each
+    descriptor of its covering ranges is evaluated once at the block's
+    points, or sliced from ``held[i]`` (its values at every point), and each
+    covering range adds a ``bincount``. A block has ``2 * SCAN_BLOCK //
+    len(ds)`` points, so it holds at most ``2 * SCAN_BLOCK`` values.
     """
-    used, held = sorted({i for pair in pairs for i in pair}), held or {}
-    step = max(1, 2 * SCAN_BLOCK // len(ds))
+    held, step = held or {}, max(1, 2 * SCAN_BLOCK // len(ds))
     counts = [np.zeros(ds[i].levels * ds[j].levels, dtype=np.int64) for i, j in pairs]
     h, events = cal.hierarchy, cal.events
-    for lo in range(k, m, step):
-        hi = min(lo + step, m)
-        zs = points(lo, hi)
-        values = {i: held[i][lo:hi] if i in held else evaluate(h, ds[i], zs, events) for i in used}
-        for c, (i, j) in zip(counts, pairs):
-            c += np.bincount(values[i] * ds[j].levels + values[j], minlength=c.size)
+    for a, b in pairwise(sorted({end for rs in ranges for _, k, m in rs for end in (k, m)})):
+        covering = [(p, w) for p, rs in enumerate(ranges) for w, k, m in rs if k <= a and b <= m]
+        used = {i for p, _ in covering for i in pairs[p]}
+        for lo in range(a, b, step) if covering else ():
+            hi = min(lo + step, b)
+            zs = points(lo, hi)
+            values = {i: held[i][lo:hi] if i in held else evaluate(h, ds[i], zs, events) for i in used}
+            for p, w in covering:
+                (i, j), c = pairs[p], counts[p]
+                c += w * np.bincount(values[i] * ds[j].levels + values[j], minlength=c.size)
     return [c.reshape(ds[i].levels, ds[j].levels) for c, (i, j) in zip(counts, pairs)]
 
 
@@ -156,22 +160,19 @@ def _grid(span: IndexSpan, stride: int):
 def _nested(
     a: CyclicDescriptor, b: CyclicDescriptor, cal: Calendar,
     span: IndexSpan, stride: int, cycle: int, block: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Structural counts of ``a`` repeating every ``cycle`` units against ``b``
     constant on ``block``-aligned blocks, where ``cycle`` divides ``block``.
 
     Every whole block holds ``a``'s levels in the same multiplicities and
-    one value of ``b``, so those blocks count as their outer product; the
-    grid points of the partial blocks at the two ends are scanned.
+    one value of ``b``, so those blocks count as their outer product. It is
+    returned with the grid ranges ``(k, m)`` of the partial blocks at the
+    two ends, left to scan: the whole span when it holds no whole block.
     """
-    n, points = (span.length + stride - 1) // stride, _grid(span, stride)
-
-    def scan(k: int, m: int) -> np.ndarray:
-        return _count([a, b], [(0, 1)], cal, points, k, m)[0]
-
+    n, points = -(-span.length // stride), _grid(span, stride)
     first, stop = -(-span.start // block), (span.start + span.length) // block
     if stop <= first:
-        return scan(0, n)
+        return np.zeros((a.levels, b.levels), dtype=np.int64), [(0, n)]
     head = -(-(first * block - span.start) // stride)  # first grid point of block `first`
     tail = head + (stop - first) * (block // stride)
     h, events = cal.hierarchy, cal.events
@@ -182,7 +183,7 @@ def _nested(
     for q in range(first, stop, SCAN_BLOCK):
         starts = block * np.arange(q, min(q + SCAN_BLOCK, stop), dtype=np.int64)
         hist += np.bincount(evaluate(h, b, starts, events), minlength=b.levels)
-    return np.outer(mult, hist) + scan(0, head) + scan(tail, n)
+    return np.outer(mult, hist), [(0, head), (tail, n)]
 
 
 def _plan(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, span: IndexSpan):
@@ -265,8 +266,8 @@ def _occupancy(
     for a descriptor. A span's pairs are all planned first, so the first
     pair too short for its span raises before anything is counted; then
     each pair's span is folded (``_folds``), nested pairs count as
-    products, and the others are scanned in one pass per stride and folds,
-    which evaluates a descriptor once in each. No pairs count nothing.
+    products, and the parts (or partial blocks) left are weighted ranges
+    counted in one ``_count`` per stride. No pairs count nothing.
     """
     if not pairs:
         return []
@@ -275,23 +276,28 @@ def _occupancy(
         held = {i: data.cyclic[d.name][1] for i, d in enumerate(ds)
                 if d.name in data.cyclic and data.cyclic[d.name][0] == d}
         n = len(data.index)
-        return [(c, n) for c in _count(ds, pairs, cal, lambda k, m: data.index[k:m], 0, n, held)]
+        return [(c, n) for c in _count(ds, pairs, [[(1, 0, n)]] * len(pairs), cal,
+                                    lambda k, m: data.index[k:m], held)]
     out: list = [None] * len(pairs)
-    scans: dict[tuple, list[int]] = {}  # (stride, folds): positions in ``pairs`` of its scans
+    groups: dict[int, list] = {}  # stride: (position in ``pairs``, weighted grid ranges)
     for p, (stride, nesting) in enumerate([_plan(ds[i], ds[j], cal, data) for i, j in pairs]):
-        folds = _folds(cal, [ds[i] for i in pairs[p]], data)
-        if nesting is None:
-            scans.setdefault((stride, folds), []).append(p)
-            continue
-        cycle, block, flipped = nesting
-        i, j = pairs[p][::-1] if flipped else pairs[p]
-        counts = sum(w * _nested(ds[i], ds[j], cal, part, stride, cycle, block) for w, part in folds)
-        out[p] = (counts.T.copy() if flipped else counts, -(-data.length // stride))
-    for (stride, folds), group in scans.items():
-        parts = [(w, _count(ds, [pairs[p] for p in group], cal, _grid(part, stride),
-                            0, -(-part.length // stride))) for w, part in folds]
-        for k, p in enumerate(group):
-            out[p] = (sum(w * counts[k] for w, counts in parts), -(-data.length // stride))
+        i, j = pairs[p]
+        out[p], ranges = 0, []  # a product only for a nested pair
+        for w, part in _folds(cal, [ds[i], ds[j]], data):
+            edges = [(0, -(-part.length // stride))]
+            if nesting is not None:
+                cycle, block, flipped = nesting
+                a, b = (j, i) if flipped else (i, j)
+                counts, edges = _nested(ds[a], ds[b], cal, part, stride, cycle, block)
+                out[p] += w * (counts.T if flipped else counts)
+            at = (part.start - data.start) // stride  # parts start on the span's grid
+            ranges += [(w, at + k, at + m) for k, m in edges]
+        groups.setdefault(stride, []).append((p, ranges))
+    for stride, group in groups.items():
+        counts = _count(ds, [pairs[p] for p, _ in group], [r for _, r in group], cal, _grid(data, stride))
+        for (p, _), c in zip(group, counts):
+            c += out[p]
+            out[p] = (c, -(-data.length // stride))
     return out
 
 
@@ -319,8 +325,8 @@ def cross_tab(
     A span is split where a rung of either side breaks its sub-period,
     and a stretch of q >= 2 periods of the pair (the lcm of the local
     repeats of both rungs of both sides; none if a side is aperiodic)
-    counts its first period q times, plus the rest (``_folds``); ``total``
-    is the whole span's.
+    counts its first period q times, plus the rest (``_folds``); the parts
+    are scanned in one pass, weighted. ``total`` is the whole span's.
 
     A span samples at least one point: ``IndexSpan`` rejects empty spans
     with ``empty-span`` when it is built.
@@ -389,12 +395,11 @@ def harmony_table(
     checked against the span before any is counted, so the error names
     the first pair in screen order whose common period the span misses;
     each pair's span is split and folded by its sub-periods and joint
-    period (``_folds``), as in ``cross_tab``;
-    nested pairs count as products, and the scanned pairs are grouped by
-    stride and folds, one pass per group. A block has ``2 * SCAN_BLOCK // n``
-    points for n kept descriptors, so it holds at most ``2 * SCAN_BLOCK``
-    values and memory does not grow with the number of descriptors, the
-    span or the table.
+    period (``_folds``), as in ``cross_tab``; nested pairs count as
+    products, and all pairs of one stride scan their weighted ranges in one
+    pass. A block has ``2 * SCAN_BLOCK // n`` points for n kept descriptors,
+    so it holds at most ``2 * SCAN_BLOCK`` values and memory does not grow
+    with the number of descriptors, the span or the table.
     """
     kept = [d for d in descriptors if d.levels <= max_levels]
     pairs = list(combinations(range(len(kept)), 2))

@@ -25,13 +25,9 @@ stays bounded on long coprime tables. The ladder alone decides which.
 An irregular locator on a regular anchor also finds its sub-period when
 built, in about 0.3 ms for the 4,800 Gregorian months, which repeat every
 48 (years every 4) but for 6 exceptions in 400 years: periodicity with a
-finite set of exceptions (Bettini et al. 2000), which ``local_repeat``
-looks up by bisection.
-
-The relativity checks between rungs
-(finer-than, groups-into and periodical, after Bettini et al., *Time
-Granularities in Databases, Data Mining, and Temporal Reasoning*, 2000)
-are computed from these locators over a finite span.
+finite set of exceptions (Bettini et al., *Time Granularities in
+Databases, Data Mining, and Temporal Reasoning*, 2000), which
+``local_repeat`` looks up by bisection.
 """
 
 from __future__ import annotations
@@ -363,53 +359,6 @@ def granule_start(h: Hierarchy, rung: str, index):
     """First bottom granule of granule ``index`` of ``rung``."""
     rep = h._reps[h.position(rung)]
     return _bottom_start(rep, int(index)) if is_scalar(index) else rep.start(index)
-
-
-def _granule_bounds(h: Hierarchy, rung: str, span_end: int) -> np.ndarray:
-    """Bounds of the complete granules of ``rung`` in [0, span_end); bound k starts granule k."""
-    if span_end <= 0:
-        raise ComputationError("empty-span", "span must cover at least one bottom granule")
-    rep = h._reps[h.position(rung)]
-    return rep.start(np.arange(rep.idx(span_end) + 1))
-
-
-def finer_than(h: Hierarchy, fine: str, coarse: str, span_end: int) -> bool:
-    """True iff every complete granule of ``fine`` sits inside one granule of ``coarse``."""
-    bounds = _granule_bounds(h, fine, span_end)
-    c = h._reps[h.position(coarse)]
-    return bool((c.idx(bounds[:-1]) == c.idx(bounds[1:] - 1)).all())
-
-
-def groups_into(h: Hierarchy, fine: str, coarse: str, span_end: int) -> bool:
-    """True iff every complete granule of ``coarse`` is exactly tiled by granules of ``fine``."""
-    bounds = _granule_bounds(h, coarse, span_end)
-    g = h._reps[h.position(fine)]
-    return bool((g.start(g.idx(bounds)) == bounds).all())
-
-
-def is_periodical(h: Hierarchy, fine: str, coarse: str, span_end: int) -> tuple[int, int] | None:
-    """Smallest (R, P) such that shifting ``coarse`` by R granules shifts its tiling by P granules of ``fine``.
-
-    Verdicts are relative to the span [0, span_end); None means no
-    repetition within the span was detected.
-    """
-    if not groups_into(h, fine, coarse, span_end):
-        raise ValidationError(
-            "not-a-grouping", f"{fine!r} does not group into {coarse!r} on this span"
-        )
-    bounds = _granule_bounds(h, coarse, span_end)
-    n = len(bounds) - 1
-    if n < 2:
-        raise ComputationError(
-            "insufficient-span", "need at least two complete coarse granules to detect a period"
-        )
-    # fine index at each coarse bound: granule i spans fine granules [at[i], at[i + 1])
-    at = h._reps[h.position(fine)].idx(bounds)
-    for r in range(1, n):
-        shift = at[r:] - at[:-r]
-        if (shift == shift[0]).all():
-            return (r, int(shift[0]))
-    return None
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,38 @@ def blocked_structural_scan(evaluate, h, ci, cj, start: int, length: int, stride
 
 
 class OracleError(Exception):
-    """A span the order-up oracle does not cover; ``kind`` names why."""
+    """A span an oracle does not cover; ``kind`` names why."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+
+
+def label_starts(linear_granule, h, rung: str, end: int) -> list[int]:
+    """Starts of the granules of ``rung`` in [0, end]: granule 0 starts at 0, and
+    another wherever the label that ``linear_granule`` gives an index changes."""
+    if end <= 0:
+        raise OracleError("empty-span", "span must cover at least one bottom granule")
+    labels = linear_granule(h, np.arange(end + 1, dtype=np.int64), rung)
+    return [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist()]
+
+
+def relativity_oracle(check, linear_granule, h, fine: str, coarse: str, end: int):
+    """``check`` between two rungs of the ladder ``h`` over [0, end), on their labels.
+
+    The relativities between granularities (finer-than, groups-into and
+    periodical, after Bettini et al., *Time Granularities in Databases,
+    Data Mining, and Temporal Reasoning*, 2000): ``check`` is
+    ``finer_than_oracle``, ``groups_into_oracle`` or ``periodical_oracle``,
+    fed the granule starts of both rungs that ``label_starts`` reads from
+    the engine's ``linear_granule``. An error kind the check returns is
+    raised as ``OracleError``.
+    """
+    verdict = check(label_starts(linear_granule, h, fine, end),
+                    label_starts(linear_granule, h, coarse, end), end)
+    if isinstance(verdict, str):
+        raise OracleError(verdict, f"{fine!r} into {coarse!r} over [0, {end})")
+    return verdict
 
 
 def _constant_period(h, lo: int, hi: int) -> int:

@@ -674,6 +674,14 @@ class TestFold:
         assert occ.total == n
         assert (occ.counts == want).all()
 
+    def test_folded_and_unfolded_pairs_share_one_scan(self, gregorian, ds, evaluated_points):
+        # over 28 years the pairs of day_month, day_year and month_year fold to their
+        # first 1,461 days, and the pairs with day_week do not: the folded days lie in
+        # the unfolded scan, so each descriptor is evaluated once a day all the same
+        names = ("day_week", "day_month", "day_year", "month_year")
+        harmony_table([ds[n] for n in names], IndexSpan(10_227 * 48), gregorian, max_levels=366)
+        assert evaluated_points == dict.fromkeys(names, 10_227)
+
     def test_table_without_repeating_stretch_folds_globally(self, cricket, evaluated_points):
         h = cricket.hierarchy
         assert h._reps[h.position("season")].sub is None

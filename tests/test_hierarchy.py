@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    OracleError,
     date_of_index,
     days_in_month,
     finer_than_oracle,
@@ -16,6 +17,7 @@ from oracles import (
     ladder_boundaries,
     largest_count,
     periodical_oracle,
+    relativity_oracle,
 )
 from timegrain import (
     AperiodicEventCalendar,
@@ -30,15 +32,27 @@ from timegrain import (
     ValidationError,
     enumerate_cyclic,
     evaluate,
-    finer_than,
     granule_start,
-    groups_into,
-    is_periodical,
     linear_granule,
     period_length,
 )
 from timegrain import hierarchy
 from timegrain.fixtures import cricket_calendar, gregorian_calendar, semester_calendar
+
+
+def finer_than(h, fine, coarse, end):
+    """Bettini's finer-than on the engine's granule labels."""
+    return relativity_oracle(finer_than_oracle, linear_granule, h, fine, coarse, end)
+
+
+def groups_into(h, fine, coarse, end):
+    """Bettini's groups-into on the engine's granule labels."""
+    return relativity_oracle(groups_into_oracle, linear_granule, h, fine, coarse, end)
+
+
+def is_periodical(h, fine, coarse, end):
+    """Bettini's periodical relation on the engine's granule labels."""
+    return relativity_oracle(periodical_oracle, linear_granule, h, fine, coarse, end)
 
 
 @pytest.fixture(scope="module")
@@ -253,11 +267,14 @@ class TestRelativities:
             ),
         )
         assert not groups_into(h, "day", "odd", 48 * 10)
+        with pytest.raises(OracleError) as err:
+            is_periodical(h, "day", "odd", 48 * 10)
+        assert err.value.kind == "not-a-grouping"
 
     def test_empty_span(self, gregorian):
         h = gregorian.hierarchy
         for check in (finer_than, groups_into, is_periodical):
-            with pytest.raises(ComputationError) as err:
+            with pytest.raises(OracleError) as err:
                 check(h, "day", "day", 0)
             assert err.value.kind == "empty-span"
 
@@ -274,7 +291,7 @@ class TestIsPeriodical:
         assert is_periodical(gregorian_days.hierarchy, "day", "month", 3 * 365) is None
 
     def test_insufficient_span(self, gregorian_days):
-        with pytest.raises(ComputationError) as err:
+        with pytest.raises(OracleError) as err:
             is_periodical(gregorian_days.hierarchy, "day", "month", 20)
         assert err.value.kind == "insufficient-span"
 
@@ -321,7 +338,7 @@ def build_ladder(rules) -> Hierarchy:
 def verdict(check, *args):
     try:
         return check(*args)
-    except TimegrainError as exc:
+    except OracleError as exc:
         return exc.kind
 
 

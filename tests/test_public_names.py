@@ -10,8 +10,8 @@ PUBLIC_NAMES = [
     "TimegrainError", "ValidationError", "aperiodic_descriptor", "apply_labels", "augment",
     "calfile", "categorize_levels", "classify_pair", "cross_tab", "cyclic",
     "derive_descriptor", "distill", "emit_plot_spec", "enumerate_cyclic", "errors",
-    "evaluate", "export_table", "finer_than", "format_calendar", "granule_start",
-    "groups_into", "harmony", "harmony_table", "hierarchy", "ingest", "is_periodical",
+    "evaluate", "export_table", "format_calendar", "granule_start", "harmony", "harmony_table",
+    "hierarchy", "ingest",
     "letter_value_probabilities", "linear_granule", "load_calendar", "pairwise_descriptor",
     "parse_calendar", "period_length", "recommend", "save_calendar",
     "summarize_cells", "table", "write_harmony_table", "write_summaries",
