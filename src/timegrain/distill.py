@@ -12,9 +12,9 @@ empty and small cells off the count column and checks each distinct
 quantile grid once. ``PlotSpec.to_json`` and ``write_summaries`` format
 whole columns: each label is JSON-encoded or CSV-quoted once per level,
 each distinct number (by bit pattern) is formatted once and its text
-placed by index, and each document is one ``%`` or ``join``. Iterating
-over a ``CellSummaries`` yields ``CellSummary`` records, made on demand;
-no function here does.
+placed by index, and each document is one ``join``. Iterating over a
+``CellSummaries`` yields ``CellSummary`` records, made on demand; no
+function here does.
 """
 
 from __future__ import annotations
@@ -143,23 +143,16 @@ class Recommendation:
         return "\n".join(lines) + "\n"
 
 
-# the "quantiles" pair of a plot-spec cell as ``json.dumps(indent=2)`` writes it
-_PAIR_JSON = "\n        [\n          %s,\n          %s\n        ]"
-
-
-def _cell_json(width: int) -> str:
-    """The ``%`` template of a "cells" entry with ``width`` quantile pairs, -1 for an empty cell.
-
-    Its ``%s`` slots are the cell's facet part and x part (see
-    ``PlotSpec.to_json``), then, for an occupied cell, n, and the text of
-    mean, min and max and of each pair's probability and value.
-    """
-    if width < 0:
-        return ('%s%s0,\n      "mean": null,\n      "min": null,\n      "max": null,'
-                '\n      "quantiles": []\n    }')
-    pairs = "[" + ",".join([_PAIR_JSON] * width) + "\n      ]" if width else "[]"
-    return ('%s%s%s,\n      "mean": %s,\n      "min": %s,\n      "max": %s,'
-            '\n      "quantiles": ' + pairs + "\n    }")
+# the text after slots n, mean, min and max of an occupied plot-spec cell, and after
+# a quantile pair's probability and value, as ``json.dumps(indent=2)`` writes it
+_STATS_AFTER = (',\n      "mean": ', ',\n      "min": ', ',\n      "max": ',
+                ',\n      "quantiles": [\n        [\n          ')
+_PAIR_AFTER = (",\n          ", "\n        ],\n        [\n          ")
+# the text after a cell's last slot, by slot count: 2 (an empty cell's x part), 6 (an
+# occupied cell's max when it has no quantile pair), more (its last value)
+_CELL_END = np.array(['0,\n      "mean": null,\n      "min": null,\n      "max": null,'
+                      '\n      "quantiles": []\n    },',
+                      ',\n      "quantiles": []\n    },', "\n        ]\n      ]\n    },"], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,18 +171,18 @@ class PlotSpec:
     def to_json(self) -> str:
         """The document as ``json.dumps(indent=2, allow_nan=False)`` writes it, plus a newline.
 
-        The head goes through ``json.dumps``. The whole text is then one
-        ``%`` of one template, which only copies text: each level's part
-        of a cell is made once, and each distinct float (by bit pattern) is
-        written once by ``repr``, as ``json`` writes it. A non-finite number
-        raises ``json.dumps``'s ``ValueError``, naming the first in
-        document order: the one with the smallest slot.
+        The head goes through ``json.dumps``; the cells are slots, each the
+        text placed there and the constant text after it, and the document
+        is one ``join``. Each level's part of a cell is made once, and each
+        distinct float (by bit pattern) written once by ``repr``, as ``json``
+        writes it. A non-finite number raises ``json.dumps``'s ``ValueError``,
+        naming the first in document order: the one with the smallest slot.
         """
         s = self.cells
         head = json.dumps({**self.head, "cells": []}, indent=2, allow_nan=False)
         # only a top-level key sits at indent 2 after a raw newline
         at = head.index('\n  "cells": []') + len('\n  "cells": ')
-        before, after = head[:at].replace("%", "%%"), head[at + 2 :].replace("%", "%%") + "\n"
+        before, after = head[:at], head[at + 2 :] + "\n"
         if not len(s):
             return before + "[]" + after
         facet_parts = _objects(
@@ -206,31 +199,32 @@ class PlotSpec:
         slots = np.full(len(s), 2)
         slots[occupied] += 4 + 2 * width
         first = np.cumsum(slots) - slots
-        args = np.empty(int(slots.sum()), dtype=object)
+        # a slot's text, then the constant text up to the next slot
+        pieces = np.full((int(slots.sum()), 2), "", dtype=object)
         f, x = np.divmod(np.arange(len(s)), len(s.x_labels))
-        args[first] = facet_parts[f]
-        args[first + 1] = x_parts[x]
+        pieces[first, 0] = facet_parts[f]
+        pieces[first + 1, 0] = x_parts[x]
         at = first[occupied]
-        args[at + 2] = s.n[occupied].tolist()
+        pieces[at + 2, 0] = _objects(map(str, s.n[occupied].tolist()))
+        pieces[at[:, None] + np.arange(2, 6), 1] = _STATS_AFTER
         # quantile j of occupied cell i fills slots at[i] + 6 + 2 j and the next
         pair = np.repeat(at + 6 - 2 * s.offsets[:-1], width) + 2 * np.arange(len(s.values))
+        pieces[pair, 1], pieces[pair + 1, 1] = _PAIR_AFTER
+        pieces[first + slots - 1, 1] = _CELL_END[np.sign(slots - 6) + 1]
         numbers = np.concatenate((s.mean, s.minimum, s.maximum, s.probs, s.values))
         place = np.concatenate((at + 3, at + 4, at + 5, pair, pair + 1))
         bad = np.flatnonzero(~np.isfinite(numbers))
         if len(bad):
             first_bad = float(numbers[bad[np.argmin(place[bad])]])
             raise ValueError(f"Out of range float values are not JSON compliant: {first_bad!r}")
-        args[place] = _formatted(numbers, repr)
-        # memory peaks in the ``%``: free what it does not read
+        pieces[place, 0] = _formatted(numbers, repr)
+        # memory peaks in the ``join``: free what it does not read
         del numbers, place, pair
-        shape = np.full(len(s), -1)
-        shape[occupied] = width
-        templates = {w: _cell_json(w) for w in set(shape.tolist())}
-        cells = list(map(templates.__getitem__, shape.tolist()))
-        cells[0] = before + "[" + cells[0]
-        cells[-1] += "\n  ]" + after
-        args = tuple(args)
-        return ",".join(cells) % args
+        texts = pieces.ravel().tolist()
+        del pieces
+        texts[0] = before + "[" + texts[0]
+        texts[-1] = texts[-1][:-1] + "\n  ]" + after  # the last cell takes no ","
+        return "".join(texts)
 
 
 def letter_value_probabilities(n: int) -> tuple[float, ...]:
@@ -267,8 +261,8 @@ def summarize_cells(
 ) -> CellSummaries:
     """The statistics of every (facet level, x level) cell, as columns.
 
-    Requires the x and facet columns to be present (augment first).
-    Missing responses drop out of their cell's count. With
+    Requires the x and facet columns, each made from the descriptor passed
+    (augment first). Missing responses drop out of their cell's count. With
     ``letter_values`` the probability grid adapts per cell to its n.
 
     The kept rows are ordered once by (cell, value), so each cell is a
@@ -282,8 +276,10 @@ def summarize_cells(
     as 0.0, so no statistic depends on row order.
     """
     probs = _check_probs(probs)
-    xs = t.cyclic_column(x.name)
-    fs = t.cyclic_column(facet.name)
+    for d in (x, facet):  # a column of that name made from another descriptor is not read
+        if d.name in t.cyclic and t.cyclic[d.name][0] != d:
+            raise ValidationError("missing-column", f"column {d.name!r} is of another descriptor; augment first")
+    xs, fs = t.cyclic_column(x.name), t.cyclic_column(facet.name)
     values = t.measurement(response)
     keep = ~np.isnan(values)
     code = fs[keep] * x.levels + xs[keep]
@@ -519,6 +515,8 @@ def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None
     pieces[filled, 1] = _formatted(s.probs, lambda p: number(format(p, "g")) + d)
     pieces[filled, 2] = _formatted(s.values, lambda v: number(format(v, ".12g")))
     pieces[~filled, 1:3] = ("", d)
+    texts = pieces.ravel().tolist()
+    del pieces
     with text_out(out) as handle:
         handle.write(d.join(map(quote, _SUMMARY_HEADER)) + "\n")
-        handle.write("".join(pieces.ravel().tolist()))
+        handle.write("".join(texts))

@@ -149,6 +149,7 @@ def _count(
             for p, w in covering:
                 (i, j), c = pairs[p], counts[p]
                 c += w * np.bincount(values[i] * ds[j].levels + values[j], minlength=c.size)
+            del zs, values  # before the next block's are made
     return [c.reshape(ds[i].levels, ds[j].levels) for c, (i, j) in zip(counts, pairs)]
 
 

@@ -23,6 +23,7 @@ from timegrain import (
     categorize_levels,
     classify_pair,
     cross_tab,
+    derive_descriptor,
     emit_plot_spec,
     letter_value_probabilities,
     pairwise_descriptor,
@@ -192,6 +193,18 @@ class TestSummarize:
         with pytest.raises(ValidationError) as err:
             summarize_cells(bare, x, facet, "kwh")
         assert err.value.kind == "missing-column"
+
+    def test_column_of_another_descriptor_is_not_read(self, gregorian):
+        h = gregorian.hierarchy
+        day_week, hour_day = pairwise_descriptor(h, "day", "week"), pairwise_descriptor(h, "hour", "day")
+        t = augment(synthetic_table(gregorian, n_days=14), [day_week, hour_day], gregorian)
+        decoy = derive_descriptor(day_week, [0, 1, 1, 1, 1, 1, 0], "day_week")
+        assert len(t) == 672 and cross_tab(t, hour_day, decoy, gregorian).total == 672
+        with pytest.raises(ValidationError) as err:
+            summarize_cells(t, hour_day, decoy, "kwh")
+        assert err.value.kind == "missing-column"
+        assert "augment first" in str(err.value)
+        assert sum(c.n for c in summarize_cells(augment(t, [decoy], gregorian), hour_day, decoy, "kwh")) == 672
 
     @settings(max_examples=150, deadline=None)
     @given(table=cell_tables(), letter_values=st.booleans(), probs=st.one_of(
@@ -624,6 +637,26 @@ def test_signed_zeros_are_written_apart():
     buf = io.StringIO()
     write_summaries(s, buf)
     assert buf.getvalue() == "facet,x,prob,value,n\nf,a,0.5,-0,2\nf,b,0.25,0,3\nf,b,0.75,-0,3\n"
+
+
+@pytest.mark.parametrize("n", [[0, 4, 2], [4, 0, 2], [4, 2, 0], [4, 2, 3]])
+def test_occupied_cell_with_no_quantile_pair_equals_json_dumps(n):
+    # ``summarize_cells`` gives every occupied cell a pair, but the columns can hold none;
+    # the head holds ``%`` as text, which no step may read as a format
+    occupied = sum(1 for c in n if c)
+    widths = [0, 2, 1][:occupied]
+    s = CellSummaries(
+        facet_labels=("%s",), x_labels=("a%", "%%b", "c"), n=np.array(n),
+        mean=np.linspace(1.0, 2.0, occupied), minimum=np.zeros(occupied),
+        maximum=np.full(occupied, 3.5),
+        probs=np.array([0.25, 0.75, 0.5][:sum(widths)]),
+        values=np.array([1.0, 2.0, 1.5][:sum(widths)]),
+        offsets=np.concatenate(([0], np.cumsum(widths))),
+    )
+    spec = PlotSpec({"plot_spec_version": 1, "response": "100% %(kwh)s", "warnings": ["%d"]}, s)
+    text = spec.to_json()
+    assert text == json.dumps(plot_spec_document(spec), indent=2, allow_nan=False) + "\n"
+    assert [c["quantiles"] for c in json.loads(text)["cells"] if c["n"]][0] == []
 
 
 def test_plot_spec_memory_holds_about_three_texts():

@@ -251,6 +251,23 @@ def test_screen_memory_is_bounded(gregorian, mode):
     assert peak < 16 * 2**20
 
 
+def test_scan_holds_one_block_of_values(semester):
+    # a scan of k blocks peaks as one of a single block: each block's points and values
+    # are freed before the next block's are made
+    h = semester.hierarchy
+    day_week = pairwise_descriptor(h, "day", "week")
+    semester_type = aperiodic_descriptor(semester.events["semester_type"])
+    peaks = []
+    for k in (1, 2, 4):
+        tracemalloc.start()
+        try:
+            cross_tab(IndexSpan(k * SCAN_BLOCK), day_week, semester_type, semester)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) <= 1.01 * peaks[0]
+
+
 class TestClassify:
     def test_clash(self, gregorian, ds):
         c = classify_pair(cross_tab(YEAR_2013, ds["day_month"], ds["week_month"], gregorian))

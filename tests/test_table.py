@@ -181,6 +181,20 @@ class TestIngest:
         assert err.value.kind == "unparseable-timestamp"
         assert err.value.message == "row 3: '0000-01-01 00:00' does not match '%Y-%m-%d %H:%M'"
 
+    @pytest.mark.parametrize("stamp", ["2012-02-30 00:00", "2100-02-29 00:00", "2012-13-01 00:00",
+                                       "2012-01-01 24:00"])
+    @pytest.mark.parametrize("row", [2, 5, 9])
+    def test_out_of_range_fixed_width_stamp_is_named_by_strptime(self, gregorian, stamp, row):
+        # every stamp has the fixed-width form, so only NumPy's conversion finds the bad
+        # field; the file is then read by strptime, which names the row
+        stamps = [halfhour_stamp(i) for i in range(8)]
+        stamps[row - 2] = stamp
+        assert table._iso_offsets(tuple(stamps), "%Y-%m-%d %H:%M", ORIGIN, timedelta(minutes=30)) is None
+        with pytest.raises(DataError) as err:
+            ingest(make_csv([f"{s},c1,0.5" for s in stamps]), SCHEMA, gregorian.hierarchy)
+        assert err.value.kind == "unparseable-timestamp"
+        assert err.value.message == f"row {row}: {stamp!r} does not match '%Y-%m-%d %H:%M'"
+
     @pytest.mark.parametrize("fmt, origin, step", [
         ("%Y-%m-%d", "2012-01-01", "1d"),
         ("%Y-%m-%d %H", "2012-01-01 00", "1h"),
