@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .calfile import Calendar, ini_parser
 from .cyclic import CyclicDescriptor, aperiodic_descriptor, derive_descriptor
-from .distill import DEFAULT_PROBS
+from .distill import DEFAULT_PROBS, _check_probs
 from .errors import ValidationError
 from .fixtures import BUNDLED
 from .harmony import DEFAULT_MAX_LEVELS, DEFAULT_NEAR_FLOOR, DEFAULT_NEAR_THRESHOLD
@@ -150,8 +150,10 @@ def load_config(path: str | Path) -> SessionConfig:
         _number(float, "session", "quantile_probs", x)
         for x in session.get("quantile_probs", "").split()
     ) or DEFAULT_PROBS
-    if any(not (0.0 < q < 1.0) for q in probs):
-        raise ValidationError("bad-config", "quantile_probs must lie strictly in (0, 1)")
+    try:
+        _check_probs(probs)
+    except ValidationError:
+        raise ValidationError("bad-config", "quantile_probs must lie strictly in (0, 1)") from None
 
     return SessionConfig(
         base_dir=p.parent,

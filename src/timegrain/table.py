@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import chain, repeat, takewhile
+from itertools import chain, islice, repeat, takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -63,11 +63,11 @@ class IngestionSchema:
     indexes in [0, 2**63) (then ``origin``/``bottom_duration`` are unused).
     ``ingest`` reads ``index`` cells by ``int``; stamps in the ISO 8601
     patterns ``%Y-%m-%d``, ``%Y-%m-%d %H``, ``%Y-%m-%d %H:%M`` and
-    ``%Y-%m-%d %H:%M:%S`` (or ``T`` for the space) by one ``datetime64``
-    conversion if all have its fixed-width form, else by ``strptime``;
-    every other check is shared. ``delimiter`` is one character; with an
-    ASCII one other than ``"`` and line ends, quote-free text is split a
-    block at a time (see ``ingest``).
+    ``%Y-%m-%d %H:%M:%S`` (or ``T`` for the space) from their ASCII digits
+    if all have its fixed-width form with fields in range, else by
+    ``strptime``; every other check is shared. ``delimiter`` is one
+    character; with an ASCII one other than ``"`` and line ends, quote-free
+    text is split a block at a time (see ``ingest``).
     """
 
     timestamp_column: str
@@ -129,12 +129,14 @@ def ingest(
     """Read a delimited text stream into a GranularTable.
 
     Timestamps become bottom-granule indexes relative to the schema's
-    origin; the original strings are retained as a presentation column.
-    A path that cannot be opened (a directory, say), or a file that is not
-    UTF-8, is rejected as a whole; an ``origin`` that ``timestamp_format``
-    cannot read is a ``ValidationError``. A row that ``csv`` cannot read
-    (a field over ``csv.field_size_limit()``) is a row fault like the
-    others below, ``unreadable-row``.
+    origin; the original strings are retained as a presentation column,
+    and keys as one string per distinct value. One leading U+FEFF (a byte
+    order mark) is dropped from the header's first name, for paths and
+    handles alike. A path that cannot be opened (a directory, say), or a
+    file that is not UTF-8, is rejected as a whole; an ``origin`` that
+    ``timestamp_format`` cannot read is a ``ValidationError``. A row that
+    ``csv`` cannot read (a field over ``csv.field_size_limit()``) is a row
+    fault like the others below, ``unreadable-row``.
 
     The needed fields are read in one pass and checked a column at a time,
     in the order a row is checked: its timestamp (unparseable, before the
@@ -152,12 +154,13 @@ def ingest(
     lines. A block is plain when it holds no ``"`` and no ``\\r`` but in
     ``\\r\\n``, each of its lines has the header's number of fields, and no
     field is longer than ``csv.field_size_limit()``; a plain block is split
-    at the delimiter and line ends, which reads it as ``csv`` does. From the
-    start of the first block that is not plain, ``csv.reader`` reads the
-    rest of the file, numbering rows on from the split ones. Text that
-    does not decode while blocks are read is read again by ``csv.reader``
-    from the start. Any other iterable of lines, and a delimiter that is
-    ``"``, a line end or not ASCII, are read by ``csv.reader`` throughout.
+    at the delimiter and line ends, which reads it as ``csv`` does, and
+    kept as it is split (see ``_keep``). From the start of the first block
+    that is not plain, ``csv.reader`` reads the rest of the file, numbering
+    rows on from the split ones. Text that does not decode while blocks are
+    read is read again by ``csv.reader`` from the start. Any other iterable
+    of lines, and a delimiter that is ``"``, a line end or not ASCII, are
+    read by ``csv.reader`` throughout.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -176,6 +179,7 @@ def ingest(
             pass
     names = (schema.timestamp_column, *schema.key_columns, *schema.measurement_columns)
     split: list[list[str]] = [[] for _ in names]
+    numbers, canon = [[] for _ in schema.measurement_columns], [{} for _ in schema.key_columns]
     rows: list[tuple[str, ...]] = []
     origin = step = short = fault = None
     try:
@@ -187,6 +191,7 @@ def ingest(
             raise DataError("empty-file", "source has no header row") from None
         except csv.Error as exc:
             raise DataError("unreadable-row", f"row 1: {exc}") from None
+        header[:1] = [name.removeprefix("\ufeff") for name in header[:1]]
         for col in names:
             if col not in header:
                 raise DataError("unknown-column", f"column {col!r} missing from header")
@@ -212,12 +217,12 @@ def ingest(
         if start is not None:
             reader = csv.reader(handle, delimiter=d)
             try:
-                _read_blocks(handle, d, positions, width, split)
+                _read_blocks(handle, d, positions, width, split, numbers, canon)
             except UnicodeDecodeError:
                 # read it all by csv, which decodes in smaller blocks, so that the
                 # same rows come before the bad block
                 handle.seek(start)
-                split = [[] for _ in names]
+                split, numbers = [[] for _ in names], [[] for _ in numbers]
                 next(reader)
         short = _read_fields(reader, positions, width, rows, 2 + len(split[0]))
     except UnicodeDecodeError as exc:
@@ -228,13 +233,15 @@ def ingest(
         if close:
             handle.close()
 
-    columns = [(*head, *tail) for head, tail in zip(split, list(zip(*rows)) or [()] * len(names))]
-    del split, rows
+    _keep(split, numbers, canon, list(zip(*rows)))
+    del rows
     if short:  # the short row's fields, up to the first it lacks, end their columns
         fields, fault = short
-        columns[: len(fields)] = [col + (f,) for col, f in zip(columns, fields)]
-    stamps, zs, keys, numbers = _checked(columns, fault, schema, origin, step)
-    measurements = dict(zip(schema.measurement_columns, numbers))
+        _keep(split, numbers, canon, [[f] for f in fields])
+    columns = list(map(tuple, split))
+    del split
+    stamps, zs, keys, values = _checked(columns, numbers, fault, schema, origin, step)
+    measurements = dict(zip(schema.measurement_columns, values))
     for m, values in measurements.items():
         # nan stays "missing"; an infinity has no quantile and no JSON form
         bad = np.flatnonzero(np.isinf(values))
@@ -252,8 +259,8 @@ def ingest(
     )
 
 
-def _read_blocks(handle, d: str, positions: list[int], width: int, columns: list[list[str]]):
-    """Extend ``columns`` by the fields at ``positions`` of the rows of ``handle``'s plain blocks.
+def _read_blocks(handle, d: str, positions: list[int], width: int, *kept: list):
+    """``_keep`` in ``kept`` the fields at ``positions`` of the rows of ``handle``'s plain blocks.
 
     A block is ``TEXT_BLOCK`` characters completed to whole lines. Reading
     stops at the end, or at the first block that is not plain, with
@@ -266,9 +273,28 @@ def _read_blocks(handle, d: str, positions: list[int], width: int, columns: list
         if fields is None:
             handle.seek(at)
             return
-        for col, p in zip(columns, positions):
-            col.extend(fields[p::width])
+        _keep(*kept, [fields[p::width] for p in positions])
         at = handle.tell()
+
+
+def _keep(columns: list[list], numbers: list[list], canon: list[dict], cells: list) -> None:
+    """Extend ``columns`` (stamps, keys, measurements) by ``cells``, a sequence of fields a column.
+
+    Keys are kept as ``canon``'s one string per value; measurements as float64 arrays in
+    ``numbers`` (nan for a blank field) up to the first sequence with a field ``float``
+    rejects, and from it on as strings, for ``_checked`` to name the row.
+    """
+    k = 1 + len(canon)
+    for col, new in zip(columns[:1], cells):
+        col.extend(new)
+    for col, new, same in zip(columns[1:k], cells[1:k], canon):
+        col.extend(map(same.setdefault, new, new))
+    for col, new, arrays in zip(columns[k:], cells[k:], numbers):
+        values, bad = ([], 0) if col else _convert(float, new, blank=math.nan)
+        if bad is None:
+            arrays.append(np.array(values, dtype=np.float64))
+        else:
+            col.extend(new)
 
 
 def _plain_fields(block: str, d: str, width: int, limit: int) -> list[str] | None:
@@ -324,14 +350,14 @@ def _read_fields(reader, positions: list[int], width: int, rows: list, first: in
 _INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
 
 
-def _checked(columns: list[tuple[str, ...]], fault: DataError | None,
+def _checked(columns: list[tuple[str, ...]], heads: list[list[np.ndarray]], fault: DataError | None,
              schema: IngestionSchema, origin: datetime | None, step: timedelta | None):
     """The stamps, indexes, keys and measurements of ``columns``, or the first faulty row's error.
 
-    ``columns`` hold the fields of the rows in schema order; ``fault`` is
-    the error of a short last row, whose missing fields leave their columns
-    one short, or of undecodable text after the rows. Each stage checks
-    only the rows before the first fault found so far.
+    ``columns`` hold the rows' fields in schema order but for the float64 arrays in
+    ``heads``, each measurement's first rows; ``fault`` is the error of a short last row,
+    whose missing fields leave their columns one short, or of undecodable text after
+    the rows. Each stage checks only the rows before the first fault found so far.
     """
     count = max(map(len, columns))
 
@@ -348,12 +374,12 @@ def _checked(columns: list[tuple[str, ...]], fault: DataError | None,
     fmt = schema.timestamp_format
     [stamps] = sound(columns[0])
     if origin is None:
-        values, bad = _convert(int, stamps)
-        if bad is not None:
-            flag(bad, "unparseable-timestamp", f"{stamps[bad]!r} is not an index")
         try:
-            zs = np.array(values, dtype=np.int64)
-        except OverflowError:  # an index of 2**63 or more, flagged below
+            zs = np.fromiter(map(int, stamps), dtype=np.int64, count=len(stamps))
+        except (ValueError, OverflowError):  # a faulty row, flagged here or below
+            values, bad = _convert(int, stamps)
+            if bad is not None:
+                flag(bad, "unparseable-timestamp", f"{stamps[bad]!r} is not an index")
             zs = np.array(values, dtype=object)
     else:
         zs = _iso_offsets(stamps, fmt, origin, step)
@@ -381,12 +407,14 @@ def _checked(columns: list[tuple[str, ...]], fault: DataError | None,
         flag(dup, "duplicate-row", f"duplicate keys/index {fingerprint}")
 
     numbers = []
-    for col in columns[1 + nkeys :]:
-        [cells] = sound(col)
+    for col, head in zip(columns[1 + nkeys :], heads):
+        done = sum(map(len, head))  # rows converted as they were read, none faulty
+        count = min(count, done + len(col))
+        cells = col[: max(0, count - done)]
         values, bad = _convert(float, cells, blank=math.nan)
         if bad is not None:
-            flag(bad, "unparseable-measurement", f"{cells[bad].strip()!r} is not numeric")
-        numbers.append(np.array(values, dtype=np.float64))
+            flag(done + bad, "unparseable-measurement", f"{cells[bad].strip()!r} is not numeric")
+        numbers.append(np.concatenate([*head, values]))
     if fault:
         raise fault
     return stamps, zs, keys, numbers
@@ -409,37 +437,47 @@ def _convert(convert, cells: Sequence[str], blank=None) -> tuple[list, int | Non
             out.append(blank)
 
 
-# strptime patterns with a fixed-width ISO 8601 form, which NumPy reads to the same instant
+# strptime patterns with a fixed-width ISO 8601 form, read from their digits
 _ISO_PATTERN = re.compile(r"%Y-%m-%d(?:[ T]%H(?::%M(?::%S)?)?)?")
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # in a common year
 
 
 def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: timedelta):
-    """Bottom-granule offsets of ``stamps`` by one ``datetime64`` conversion, or None.
+    """Bottom-granule offsets of ``stamps`` from their ASCII digits, or None.
 
-    None unless ``fmt`` has a fixed-width ISO 8601 form and every stamp
-    has exactly that form: NumPy also reads spellings that strptime
-    rejects (``T`` for the space, seconds, bare dates, ``Z``, 5-digit
-    years, the year 0000) and warns on some; it rejects month 13, hour 24.
+    None, for strptime to name the row, unless ``fmt`` has a fixed-width ISO 8601 form and
+    every stamp has it, with year 0001 on, month 1-12, a day of that month, hour below 24,
+    minute and second below 60. Days are Dershowitz and Reingold's fixed-from-gregorian.
     """
     if not _ISO_PATTERN.fullmatch(fmt):
         return None
-    template = re.sub(r"%[mdHMS]", "##", fmt.replace("%Y", "####"))
-    text = np.array(stamps)
-    if text.dtype.itemsize != 4 * len(template):
+    template = re.sub(r"%[mdHMS]", "##", fmt.replace("%Y", "####")) + "\n"
+    # the "\n" after each stamp falls in the last column only if all have the template's width
+    text = "\n".join(chain(stamps, [""])).encode("ascii", "replace")
+    if len(text) != len(stamps) * len(template):
         return None
-    codes = text.view(np.uint32).reshape(len(text), len(template))
+    codes = np.frombuffer(text, dtype=np.uint8).reshape(len(stamps), len(template))
     for j, ch in enumerate(template):
         ok = codes[:, j] - ord("0") <= 9 if ch == "#" else codes[:, j] == ord(ch)
         if not ok.all():
             return None
-    try:
-        moments = text.astype("datetime64[s]")
-    except ValueError:  # a field out of range, such as 2012-02-30
+    fields = (sum((codes[:, j] - ord("0")).astype(np.int64) * 10 ** (run.end() - 1 - j)
+                  for j in range(*run.span())) for run in re.finditer("#+", template))
+    year, month, day = islice(fields, 3)  # int64 vectors, each made as it is read; then the clock
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    last = _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2))  # month checked next
+    if ((year < 1) | (month < 1) | (month > 12) | (day < 1) | (day > last)).any():
         return None
-    if moments.min() < np.datetime64("0001-01-01"):  # the year 0000, which NumPy reads
-        return None
-    start = np.datetime64(origin, "s")
-    return (moments - start) // np.timedelta64(int(step.total_seconds()), "s")
+    year -= 1
+    day += (365 * year + year // 4 - year // 100 + year // 400 + (367 * month - 362) // 12
+            + (month > 2) * (leap - 2) - origin.toordinal())
+    seconds = day * 86400 - (origin.hour * 3600 + origin.minute * 60 + origin.second)
+    del year, month, day, leap, last
+    for value, unit, limit in zip(fields, (3600, 60, 1), (24, 60, 60)):
+        if (value >= limit).any():
+            return None
+        seconds += value * unit
+    return seconds // (step // timedelta(seconds=1))
 
 
 def _first_duplicate(keys: list[tuple[str, ...]], zs: np.ndarray) -> int | None:

@@ -76,6 +76,20 @@ def test_command_output_is_repeatable(session, tmp_path, argv):
     assert written[0] == written[1]
 
 
+def test_spreadsheet_export_gives_the_same_table(session, tmp_path):
+    # a spreadsheet's "CSV UTF-8" export: a byte order mark, and "\r\n" line ends
+    config = edited(session, tmp_path)
+    text = (tmp_path / SMART_CSV).read_text(encoding="utf-8")
+    (tmp_path / SMART_CSV).write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode("utf-8"))
+    written = []
+    for ini in (session / "smart_meter.ini", config):
+        out = tmp_path / f"computed-{len(written)}.csv"
+        argv = ["granularity", "compute", "hour_day", "day_week", "--config", str(ini)]
+        assert cli.run([*argv, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 # sha256 of the outputs over the generated fixtures (seed 42), the full
 # two-year smart-meter dataset and the generated gregorian.cal
 PINNED = {
