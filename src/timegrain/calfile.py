@@ -187,8 +187,9 @@ def _parse_events(name: str, body) -> AperiodicEventCalendar:
 def load_calendar(path: str | Path) -> Calendar:
     """Load from a filesystem path, falling back to a bundled calendar.
 
-    A bare bundled name such as ``gregorian.cal`` that is not an existing
-    file is built by its generator in ``timegrain.fixtures``.
+    A path that is not an existing file but whose name is bundled, such as
+    ``gregorian.cal`` or ``work/gregorian.cal``, is built by its generator
+    in ``timegrain.fixtures``.
     """
     p = Path(path)
     if p.exists():
@@ -202,8 +203,8 @@ def load_calendar(path: str | Path) -> Calendar:
     # imported here: fixtures imports this module
     from .fixtures import BUNDLED
 
-    if str(p) in BUNDLED:
-        return BUNDLED[str(p)]()
+    if p.name in BUNDLED:
+        return BUNDLED[p.name]()
     raise ValidationError("file-not-found", f"calendar file {path!r} does not exist")
 
 

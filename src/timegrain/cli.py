@@ -35,7 +35,6 @@ from .distill import (
     write_summaries,
 )
 from .errors import TimegrainError, ValidationError
-from .fixtures import write_fixtures
 from .harmony import IndexSpan, classify_pair, cross_tab, harmony_table, write_harmony_table
 from .hierarchy import ConstantPeriod
 from .table import GranularTable, augment, csv_writer, export_table, ingest, text_out
@@ -199,6 +198,8 @@ def cmd_plot_spec(args) -> int:
 
 
 def cmd_fixtures_generate(args) -> int:
+    from .fixtures import write_fixtures  # imported here, as sessions need none of it
+
     out = _out_dir(args, None)
     for path in write_fixtures(out, seed=args.seed):
         print(f"wrote {path}")

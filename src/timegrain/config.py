@@ -11,7 +11,6 @@ from .calfile import Calendar, ini_parser
 from .cyclic import CyclicDescriptor, aperiodic_descriptor, derive_descriptor
 from .distill import DEFAULT_PROBS, _check_probs
 from .errors import ValidationError
-from .fixtures import BUNDLED
 from .harmony import DEFAULT_MAX_LEVELS, DEFAULT_NEAR_FLOOR, DEFAULT_NEAR_THRESHOLD
 from .table import IngestionSchema, enumerate_cyclic
 
@@ -42,13 +41,8 @@ class SessionConfig:
     schema: IngestionSchema | None = None
     derives: tuple[DeriveSpec, ...] = ()
 
-    def calendar_path(self) -> str | Path:
-        p = self.base_dir / self.calendar
-        if p.exists():
-            return p
-        if self.calendar in BUNDLED:
-            return self.calendar
-        return p  # load_calendar reports file-not-found with the full path
+    def calendar_path(self) -> Path:
+        return self.base_dir / self.calendar  # load_calendar builds a bundled name not found there
 
     def dataset_path(self) -> Path:
         if not self.dataset:

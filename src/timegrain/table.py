@@ -178,8 +178,8 @@ def ingest(
         except OSError:  # a text file after ``next`` cannot tell
             pass
     names = (schema.timestamp_column, *schema.key_columns, *schema.measurement_columns)
-    split: list[list[str]] = [[] for _ in names]
-    numbers, canon = [[] for _ in schema.measurement_columns], [{} for _ in schema.key_columns]
+    split: list[list] = [[] for _ in names]
+    canon: list[dict] = [{} for _ in schema.key_columns]
     rows: list[tuple[str, ...]] = []
     origin = step = short = fault = None
     try:
@@ -217,12 +217,12 @@ def ingest(
         if start is not None:
             reader = csv.reader(handle, delimiter=d)
             try:
-                _read_blocks(handle, d, positions, width, split, numbers, canon)
+                _read_blocks(handle, d, positions, width, split, canon)
             except UnicodeDecodeError:
                 # read it all by csv, which decodes in smaller blocks, so that the
                 # same rows come before the bad block
                 handle.seek(start)
-                split, numbers = [[] for _ in names], [[] for _ in numbers]
+                split = [[] for _ in names]
                 next(reader)
         short = _read_fields(reader, positions, width, rows, 2 + len(split[0]))
     except UnicodeDecodeError as exc:
@@ -233,14 +233,14 @@ def ingest(
         if close:
             handle.close()
 
-    _keep(split, numbers, canon, list(zip(*rows)))
+    _keep(split, canon, list(zip(*rows)))
     del rows
     if short:  # the short row's fields, up to the first it lacks, end their columns
         fields, fault = short
-        _keep(split, numbers, canon, [[f] for f in fields])
+        _keep(split, canon, [[f] for f in fields])
     columns = list(map(tuple, split))
     del split
-    stamps, zs, keys, values = _checked(columns, numbers, fault, schema, origin, step)
+    stamps, zs, keys, values = _checked(columns, fault, schema, origin, step)
     measurements = dict(zip(schema.measurement_columns, values))
     for m, values in measurements.items():
         # nan stays "missing"; an infinity has no quantile and no JSON form
@@ -277,24 +277,25 @@ def _read_blocks(handle, d: str, positions: list[int], width: int, *kept: list):
         at = handle.tell()
 
 
-def _keep(columns: list[list], numbers: list[list], canon: list[dict], cells: list) -> None:
+def _keep(columns: list[list], canon: list[dict], cells: list) -> None:
     """Extend ``columns`` (stamps, keys, measurements) by ``cells``, a sequence of fields a column.
 
-    Keys are kept as ``canon``'s one string per value; measurements as float64 arrays in
-    ``numbers`` (nan for a blank field) up to the first sequence with a field ``float``
-    rejects, and from it on as strings, for ``_checked`` to name the row.
+    Keys are kept as ``canon``'s one string per value; a measurement as float64 arrays (nan
+    for a blank field) up to its first field ``float`` rejects, then that field's text, for
+    ``_checked`` to name the row; the column is not extended after it.
     """
     k = 1 + len(canon)
     for col, new in zip(columns[:1], cells):
         col.extend(new)
     for col, new, same in zip(columns[1:k], cells[1:k], canon):
         col.extend(map(same.setdefault, new, new))
-    for col, new, arrays in zip(columns[k:], cells[k:], numbers):
-        values, bad = ([], 0) if col else _convert(float, new, blank=math.nan)
-        if bad is None:
-            arrays.append(np.array(values, dtype=np.float64))
-        else:
-            col.extend(new)
+    for col, new in zip(columns[k:], cells[k:]):
+        if col and isinstance(col[-1], str):
+            continue
+        values, bad = _convert(float, new, blank=math.nan)
+        col.append(np.array(values, dtype=np.float64))
+        if bad is not None:
+            col.append(new[bad])
 
 
 def _plain_fields(block: str, d: str, width: int, limit: int) -> list[str] | None:
@@ -350,29 +351,23 @@ def _read_fields(reader, positions: list[int], width: int, rows: list, first: in
 _INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
 
 
-def _checked(columns: list[tuple[str, ...]], heads: list[list[np.ndarray]], fault: DataError | None,
-             schema: IngestionSchema, origin: datetime | None, step: timedelta | None):
+def _checked(columns: list[tuple], fault: DataError | None, schema: IngestionSchema,
+             origin: datetime | None, step: timedelta | None):
     """The stamps, indexes, keys and measurements of ``columns``, or the first faulty row's error.
 
-    ``columns`` hold the rows' fields in schema order but for the float64 arrays in
-    ``heads``, each measurement's first rows; ``fault`` is the error of a short last row,
-    whose missing fields leave their columns one short, or of undecodable text after
-    the rows. Each stage checks only the rows before the first fault found so far.
+    ``columns`` hold the rows' fields in schema order, the measurements as ``_keep`` holds
+    them; ``fault`` is the error of a short last row, whose missing fields leave their
+    columns one short, or of undecodable text after the rows. Each stage checks only the
+    rows before the first fault found so far.
     """
-    count = max(map(len, columns))
-
-    def sound(*cols):
-        # only a short row's column is shorter than ``count``, and its error is then pending
-        nonlocal count
-        count = min(count, *map(len, cols))
-        return [col[:count] for col in cols]
+    stamps = columns[0]  # a short row's fields are a prefix in schema order: the longest column
+    count = len(stamps)
 
     def flag(row, kind: str, message: str) -> None:
         nonlocal count, fault
         count, fault = int(row), DataError(kind, f"row {row + 2}: {message}")
 
     fmt = schema.timestamp_format
-    [stamps] = sound(columns[0])
     if origin is None:
         try:
             zs = np.fromiter(map(int, stamps), dtype=np.int64, count=len(stamps))
@@ -392,29 +387,29 @@ def _checked(columns: list[tuple[str, ...]], heads: list[list[np.ndarray]], faul
     if len(out):
         i, z = out[0], zs[out[0]]
         if z > _INDEX_MAX:
-            flag(i, "index-overflow", f"index {z} exceeds {_INDEX_MAX}")
+            flag(i, "row-index-overflow", f"index {z} exceeds {_INDEX_MAX}")
         elif origin is None:
             flag(i, "pre-origin", f"index {z} is negative")
         else:
             flag(i, "pre-origin", f"{stamps[i]!r} predates origin {schema.origin!r}")
 
     nkeys = len(schema.key_columns)
-    zs, *keys = sound(zs, *columns[1 : 1 + nkeys])
-    zs = np.asarray(zs, dtype=np.int64)
+    keys = columns[1 : 1 + nkeys]
+    count = min([count, *map(len, keys)])  # a short row's key column is short, its error pending
+    zs, keys = np.asarray(zs[:count], dtype=np.int64), [col[:count] for col in keys]
     dup = _first_duplicate(keys, zs)
     if dup is not None:
         fingerprint = (*(k[dup] for k in keys), int(zs[dup]))
         flag(dup, "duplicate-row", f"duplicate keys/index {fingerprint}")
 
     numbers = []
-    for col, head in zip(columns[1 + nkeys :], heads):
-        done = sum(map(len, head))  # rows converted as they were read, none faulty
-        count = min(count, done + len(col))
-        cells = col[: max(0, count - done)]
-        values, bad = _convert(float, cells, blank=math.nan)
-        if bad is not None:
-            flag(done + bad, "unparseable-measurement", f"{cells[bad].strip()!r} is not numeric")
-        numbers.append(np.concatenate([*head, values]))
+    for col in columns[1 + nkeys :]:
+        arrays = [a for a in col if isinstance(a, np.ndarray)]
+        values = np.concatenate([*arrays, []])
+        count = min(count, len(values) + len(col) - len(arrays))  # and the rejected field's row
+        if len(values) < count:
+            flag(len(values), "unparseable-measurement", f"{col[-1].strip()!r} is not numeric")
+        numbers.append(values)
     if fault:
         raise fault
     return stamps, zs, keys, numbers
@@ -481,11 +476,12 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
 
 
 def _first_duplicate(keys: list[tuple[str, ...]], zs: np.ndarray) -> int | None:
-    """The first row, in file order, whose keys and index an earlier row has, or None."""
-    columns = [zs]
-    for col in keys:
-        codes = {v: i for i, v in enumerate(dict.fromkeys(col))}
-        columns.append(np.fromiter(map(codes.__getitem__, col), dtype=np.int64, count=len(col)))
+    """The first row, in file order, whose keys and index an earlier row has, or None.
+
+    Equal keys are one object (``_keep`` keeps ``canon``'s string for each), so a key's
+    ``id`` is its code.
+    """
+    columns = [zs, *(np.fromiter(map(id, col), dtype=np.intp, count=len(col)) for col in keys)]
     order = np.lexsort(columns)  # stable, so equal rows stay in file order
     same = np.logical_and.reduce([np.diff(c[order]) == 0 for c in columns])
     later = order[1:][same]  # each row after the first of its group

@@ -416,7 +416,7 @@ def ingest_oracle(lines: list[str], schema):
             if z < 0:
                 return "pre-origin", f"row {lineno}: index {z} is negative"
             if z >= 2**63:
-                return "index-overflow", f"row {lineno}: index {z} exceeds {2**63 - 1}"
+                return "row-index-overflow", f"row {lineno}: index {z} exceeds {2**63 - 1}"
         else:
             try:
                 moment = datetime.strptime(raw, fmt)

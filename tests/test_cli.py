@@ -54,6 +54,21 @@ def test_calendar_validate(workdir, tmp_path, monkeypatch, capsys, bundled):
     assert out.startswith("calendar gregorian: valid (6 rungs)" if bundled else "calendar cricket:")
 
 
+def test_config_calendar_is_not_read_from_the_working_directory(workdir, tmp_path, monkeypatch,
+                                                                 capsys):
+    # the config names the bundled ladder and lies where no such file is; the working
+    # directory holds the cricket ladder under that name, which is not read
+    shutil.copy(workdir / "cricket.cal", tmp_path / "gregorian.cal")
+    (tmp_path / "session").mkdir()
+    (tmp_path / "session" / "plain.ini").write_text("[session]\ncalendar = gregorian.cal\n",
+                                                    encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["granularity", "list", "--config", "session/plain.ini"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "total: 15 (15 pairwise, 0 derived, 0 aperiodic)"
+    assert "hour_day,circular,24,hour,day" in lines
+
+
 COMMANDS = {
     "granularity-list": ["granularity", "list"],
     "granularity-compute": ["granularity", "compute", "hour_day", "day_month", "wknd_wday"],

@@ -86,6 +86,15 @@ def test_every_flagged_kind_is_documented_with_its_exit_code():
     assert {key: EXIT_CODES[key[1]] for key in flagged}.items() <= documented_kinds().items()
 
 
+def test_every_kind_is_raised_by_one_class():
+    # a script matching on the kind can then tell the exit code from it
+    literal, flagged, _ = raised_kinds()
+    classes = {}
+    for kind, cls in literal | flagged:
+        classes.setdefault(kind, set()).add(cls)
+    assert {kind: found for kind, found in classes.items() if len(found) > 1} == {}
+
+
 def test_every_kind_is_named_by_a_test():
     strings = [node.value for path in sorted((ROOT / "tests").glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

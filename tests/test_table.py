@@ -235,7 +235,7 @@ class TestIngest:
         with pytest.raises(DataError) as err:
             ingest(make_csv(["99999999999999999999,1"], header="over,ball"),
                    schema, gregorian.hierarchy)
-        assert err.value.kind == "index-overflow"
+        assert err.value.kind == "row-index-overflow"
         assert err.value.message.startswith("row 2:")
         # the largest int64 index is kept
         t = ingest(make_csv([f"{2**63 - 1},1"], header="over,ball"), schema, gregorian.hierarchy)
@@ -248,7 +248,7 @@ class TestIngest:
         path.write_text("over,ball\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(DataError) as err:
             ingest(path, schema, gregorian.hierarchy)
-        assert err.value.kind == "index-overflow"
+        assert err.value.kind == "row-index-overflow"
         assert err.value.message == f"row 42: index {2**63} exceeds {2**63 - 1}"
 
     def test_origin_not_matching_format_rejected(self, gregorian):
@@ -542,6 +542,39 @@ class TestIngestInBlocks:
         assert read == [0]
         assert got == oracle_outcome(io.StringIO("\n".join(lines) + "\n"), schema)
         assert got[0] == list(range(40))
+
+    @pytest.mark.parametrize("second", ["hand-over", "re-read"])
+    def test_duplicate_found_across_read_paths(self, gregorian, tmp_path, second):
+        # row 3 is split from a plain block; csv reads row 401, its duplicate, on from the
+        # block of the quoted row 301, or from the start once text past the first decoded
+        # chunk is not UTF-8
+        lines = ["over,ball,runs,note", *(f"{i},b{i % 3},1,n" for i in range(1000))]
+        lines[400] = lines[2]
+        if second == "hand-over":
+            lines[300] = '299,b2,1,"a,b"'
+        data = ("\n".join(lines) + "\n").encode()
+        if second == "re-read":
+            data = data.replace(b"\n949,b1,", b"\n949,b\xff,")
+        path = tmp_path / "overs.csv"
+        path.write_bytes(data)
+        plain, first = [], []
+        split, fields = table._plain_fields, table._read_fields
+
+        def split_spy(*args):
+            got = split(*args)
+            plain.append(got is not None)
+            return got
+
+        def read_spy(reader, positions, width, rows, start):
+            first.append(start)
+            return fields(reader, positions, width, rows, start)
+
+        with mock.patch.object(table, "TEXT_BLOCK", 64), mock.patch.object(
+                table, "_plain_fields", split_spy), mock.patch.object(table, "_read_fields", read_spy):
+            got = outcome(path, block_schema(lines[0].split(",")), gregorian.hierarchy)
+        # csv reads on from the start of the block holding row 301, or from row 2
+        assert plain[0] and (3 < first[0] <= 301 if second == "hand-over" else first == [2])
+        assert got == ("duplicate-row", "row 401: duplicate keys/index ('b1', 1)")
 
 
 class TestEnumerate:
