@@ -317,9 +317,13 @@ def summarize_cells(
     below = start[cell] + floor.astype(np.intp)
     a = vals[below]
     b = vals[below + (floor < m - 1)]
-    diff = b - a
     segments = map(vals.__getitem__, map(slice, start.tolist(), end.tolist()))
-    sums = np.fromiter(map(np.add.reduce, segments), dtype=np.float64, count=len(n))
+    # values near the float64 limits may sum or interpolate to inf or nan, silently:
+    # ``emit_plot_spec`` names such a cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = b - a
+        sums = np.fromiter(map(np.add.reduce, segments), dtype=np.float64, count=len(n))
+        values = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
     return CellSummaries(
         facet_labels=tuple(label_list(facet)),
         x_labels=tuple(label_list(x)),
@@ -328,7 +332,7 @@ def summarize_cells(
         minimum=vals[start],
         maximum=vals[end - 1],
         probs=p,
-        values=np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac),
+        values=values,
         offsets=offsets,
     )
 
@@ -417,9 +421,11 @@ def emit_plot_spec(
 
     Refuses when empty cells are present (clash structure) unless
     ``force`` is set; refuses geometries whose statistics are not
-    computed here (density estimation is out of scope). The quantile
-    checks run once per distinct probability grid; the empty and small
-    cells are read off the count column.
+    computed here (density estimation is out of scope), and refuses
+    summaries with a mean, min, max or quantile that is not finite (an
+    overflow), naming the first such cell. The quantile checks run once
+    per distinct probability grid; the empty and small cells are read off
+    the count column.
     """
     if not len(summaries):
         raise ValidationError("empty-summaries", "nothing to plot")
@@ -451,6 +457,19 @@ def emit_plot_spec(
             "clash-refusal",
             f"{len(empties)} empty level combinations (e.g. {cells}); "
             "pick a harmony pair or force emission",
+        )
+    numbers = {"mean": summaries.mean, "min": summaries.minimum, "max": summaries.maximum,
+               "quantile": summaries.values}
+    bad = {stat: np.flatnonzero(~np.isfinite(v))[:1] for stat, v in numbers.items()}
+    if any(map(len, bad.values())):
+        # a quantile's occupied cell is the one whose offsets hold its entry
+        bad["quantile"] = np.searchsorted(summaries.offsets, bad["quantile"], side="right") - 1
+        i, _, stat = min((int(at[0]), k, stat) for k, (stat, at) in enumerate(bad.items()) if len(at))
+        c = int(np.flatnonzero(n)[i])
+        raise ComputationError(
+            "non-finite-statistic",
+            f"the {stat} of cell (x={xlabels[c % kx]}, facet={flabels[c // kx]}) is not finite, "
+            "which a plot spec cannot hold",
         )
     all_warnings = list(warnings)
     small = np.flatnonzero((n > 0) & (n < SMALL_CELL_N))

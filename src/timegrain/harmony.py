@@ -4,39 +4,17 @@ A pair is cross-tabulated into a K x L occupancy table, either over the
 rows of a data table (observed mode) or over a synthetic index span
 (structural mode). A pair with an empty cell is a clash; a pair whose
 smallest cells fall below the rarity cutoff is a near-clash; anything
-else is a harmony.
-
-Structural scans sample the span at the coarsest stride on which both
-granularities are constant, so counts mean "distinct joint granules" and
-verdicts do not depend on how fine the bottom granularity happens to be.
-
-A structural pair whose one side is circular with a regular upper rung
-(hour-of-day, half-hour-of-hour, or a granularity derived from one) is
-not scanned point by point when that upper rung's length U divides the
-other side's anchor block B (the block on which that side is constant):
-U groups into B (Bettini et al. 2000), so every whole B-block holds the
-circular side's levels in the same multiplicities, and those blocks
-count as the outer product of the multiplicities with a histogram of the
-other side taken at one point per block. This is the paper's nested
-ordering made exact. The grid points in the partial blocks at the two
-ends of the span are scanned.
-
-Periodic granularities repeat exactly (periodical, Bettini et al. 2000):
-a pair's values at z + P are those at z, and its stride grid shifted by P
-is the same grid, when P (its joint period) is a multiple of the repeats
-of both rungs of both sides, and between the exceptions of their
-sub-periods so does a shorter p (1,461 days for Gregorian months and
-years): a stretch of q >= 2 periods counts its first q times, plus the rest.
+else is a harmony. How a structural pair is counted is ``_plan``'s.
 
 A screen counts all of its pairs together, one block of points at a
 time: each block gets the values of each descriptor once, and each pair
 is one ``bincount`` over them. A table's cyclic columns are read for the
-descriptors they were made from, and only the others are evaluated. A
-span's pairs leave weighted ranges of their stride's grid to scan, and
-each stride is scanned once. A block holds at most ``2 * SCAN_BLOCK``
-values: ``SCAN_BLOCK`` points for one pair, ``2 * SCAN_BLOCK // n`` for a
-screen of n descriptors, so the memory a screen needs does not grow with
-the span, the table or the number of descriptors.
+descriptors they were made from, and only the others are evaluated. The
+ranges that a span's pairs leave to scan are scanned once per stride. A
+block holds at most ``2 * SCAN_BLOCK`` values: ``SCAN_BLOCK`` points for
+one pair, ``2 * SCAN_BLOCK // n`` for a screen of n descriptors, so the
+memory a screen needs does not grow with the span, the table or the
+number of descriptors.
 """
 
 from __future__ import annotations
@@ -101,25 +79,14 @@ class PairClassification:
 def _anchor(cal: Calendar, d: CyclicDescriptor) -> int:
     """Block size (bottom units) on which d's value is constant.
 
-    A quasi-circular value moves when its lower granule changes and when
-    its upper granule starts; a sliding lower rung (weeks inside months)
-    is not constant between upper starts, so both rungs' blocks count.
+    A value moves when its lower granule changes and when its upper
+    granule starts; a sliding lower rung (weeks inside months) is not
+    constant between upper starts, so both rungs' blocks count.
     """
     d = d.root
-    if d.kind == "aperiodic":
+    if d.kind == APERIODIC:
         return 1
-    h = cal.hierarchy
-    if d.kind == CIRCULAR:
-        return h.anchor_block(d.lower)
-    return gcd(h.anchor_block(d.lower), h.anchor_block(d.upper))
-
-
-def _cycle(cal: Calendar, d: CyclicDescriptor) -> int | None:
-    """Exact repeat length of d over the index, bottom units; None if irregular."""
-    d = d.root
-    if d.kind != CIRCULAR:
-        return None
-    return cal.hierarchy.bottom_units(d.upper)
+    return gcd(cal.hierarchy.anchor_block(d.lower), cal.hierarchy.anchor_block(d.upper))
 
 
 def _count(
@@ -153,11 +120,6 @@ def _count(
     return [c.reshape(ds[i].levels, ds[j].levels) for c, (i, j) in zip(counts, pairs)]
 
 
-def _grid(span: IndexSpan, stride: int):
-    """Points ``k`` to ``m - 1`` of the span sampled at ``stride``, as a function of k, m."""
-    return lambda k, m: span.start + stride * np.arange(k, m, dtype=np.int64)
-
-
 def _nested(
     a: CyclicDescriptor, b: CyclicDescriptor, cal: Calendar,
     span: IndexSpan, stride: int, cycle: int, block: int,
@@ -170,7 +132,7 @@ def _nested(
     returned with the grid ranges ``(k, m)`` of the partial blocks at the
     two ends, left to scan: the whole span when it holds no whole block.
     """
-    n, points = -(-span.length // stride), _grid(span, stride)
+    n = -(-span.length // stride)
     first, stop = -(-span.start // block), (span.start + span.length) // block
     if stop <= first:
         return np.zeros((a.levels, b.levels), dtype=np.int64), [(0, n)]
@@ -178,39 +140,13 @@ def _nested(
     tail = head + (stop - first) * (block // stride)
     h, events = cal.hierarchy, cal.events
     # a depends on the index modulo `cycle` only: one cycle's points, repeated
-    mult = np.bincount(evaluate(h, a, points(head, head + cycle // stride), events),
-                       minlength=a.levels) * (block // cycle)
+    points = span.start + stride * np.arange(head, head + cycle // stride, dtype=np.int64)
+    mult = np.bincount(evaluate(h, a, points, events), minlength=a.levels) * (block // cycle)
     hist = np.zeros(b.levels, dtype=np.int64)
     for q in range(first, stop, SCAN_BLOCK):
         starts = block * np.arange(q, min(q + SCAN_BLOCK, stop), dtype=np.int64)
         hist += np.bincount(evaluate(h, b, starts, events), minlength=b.levels)
     return np.outer(mult, hist), [(0, head), (tail, n)]
-
-
-def _plan(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, span: IndexSpan):
-    """(stride, nesting) of a structural pair, after checking its span.
-
-    The stride is the ``gcd`` of both anchors. ``nesting`` is
-    ``(cycle, block, flipped)`` when one side repeats every ``cycle``
-    units, a divisor of the other side's anchor ``block``, for
-    ``_nested``; ``flipped`` when that side is ``cj``. None for a scan.
-    """
-    anchor_i, anchor_j = _anchor(cal, ci), _anchor(cal, cj)
-    cyc_i, cyc_j = _cycle(cal, ci), _cycle(cal, cj)
-    if cyc_i is not None and cyc_j is not None:
-        common = lcm(cyc_i, cyc_j)
-        if span.length < common:
-            raise ComputationError(
-                "insufficient-span",
-                f"span of {span.length} covers less than one common period ({common}) "
-                f"of {ci.name} and {cj.name}",
-            )
-    stride = gcd(anchor_i, anchor_j)
-    if cyc_i is not None and anchor_j % cyc_i == 0:
-        return stride, (cyc_i, anchor_j, False)
-    if cyc_j is not None and anchor_i % cyc_j == 0:
-        return stride, (cyc_j, anchor_i, True)
-    return stride, None
 
 
 def _joint_period(cal: Calendar, descriptors: Sequence[CyclicDescriptor]) -> int | None:
@@ -257,6 +193,57 @@ def _folds(cal: Calendar, pair: Sequence[CyclicDescriptor],
     return (*out, *([(1, IndexSpan(end - done, done))] if done < end else []))
 
 
+def _check_span(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, span: IndexSpan) -> None:
+    """Raise ``insufficient-span`` when both sides are circular with regular upper
+    rungs and ``span`` is shorter than their common period."""
+    roots = ci.root, cj.root
+    if all(d.kind == CIRCULAR and cal.hierarchy.bottom_units(d.upper) for d in roots):
+        common = _joint_period(cal, roots)
+        if span.length < common:
+            raise ComputationError(
+                "insufficient-span",
+                f"span of {span.length} covers less than one common period ({common}) "
+                f"of {ci.name} and {cj.name}",
+            )
+
+
+def _plan(ci: CyclicDescriptor, cj: CyclicDescriptor, cal: Calendar, span: IndexSpan):
+    """How a structural pair is counted over ``span``: ``(stride, product, ranges)``.
+
+    The span is sampled at ``stride``, the ``gcd`` of both anchors: the
+    coarsest grid on which both sides are constant, so counts mean
+    distinct joint granules however fine the bottom rung is. The pair's
+    counts are ``product`` (K x L) plus, for each of ``ranges``
+    ``(w, k, m)``, w times its counts over grid points k to m - 1.
+
+    The span is first folded by its sub-periods and the pair's joint
+    period (``_folds``: periodicity, Bettini et al. 2000), each part
+    weighted. When one side repeats every ``_joint_period`` U, a divisor
+    of the other side's anchor block B, U groups into B, and a part's
+    whole B-blocks count as ``_nested``'s product: the paper's nested
+    ordering (hour-of-day inside any day-constant granularity) made exact.
+    Only the partial blocks at its two ends are then left to scan; any
+    other part is scanned whole. Parts start on the span's grid, as a
+    period is a multiple of both anchors.
+    """
+    sides = ci, cj
+    anchors = [_anchor(cal, d) for d in sides]
+    periods = [_joint_period(cal, [d]) for d in sides]
+    stride = gcd(*anchors)
+    # the side, ci first, that repeats within the other's anchor block (an aperiodic one never does)
+    nest = next((s for s in (0, 1) if periods[s] and anchors[1 - s] % periods[s] == 0), None)
+    product, ranges = np.zeros((ci.levels, cj.levels), dtype=np.int64), []
+    for w, part in _folds(cal, sides, span):
+        edges = [(0, -(-part.length // stride))]
+        if nest is not None:
+            counts, edges = _nested(sides[nest], sides[1 - nest], cal, part, stride,
+                                    periods[nest], anchors[1 - nest])
+            product += w * (counts.T if nest else counts)
+        at = (part.start - span.start) // stride
+        ranges += [(w, at + k, at + m) for k, m in edges]
+    return stride, product, ranges
+
+
 def _occupancy(
     data: GranularTable | IndexSpan, ds: Sequence[CyclicDescriptor],
     pairs: Sequence[tuple[int, int]], cal: Calendar,
@@ -264,11 +251,9 @@ def _occupancy(
     """(counts, points counted) of each pair ``(i, j)`` of ``ds``, in order.
 
     A table is counted in one pass, reading the cyclic columns it holds
-    for a descriptor. A span's pairs are all planned first, so the first
-    pair too short for its span raises before anything is counted; then
-    each pair's span is folded (``_folds``), nested pairs count as
-    products, and the parts (or partial blocks) left are weighted ranges
-    counted in one ``_count`` per stride. No pairs count nothing.
+    for a descriptor. A span's pairs are all checked (``_check_span``)
+    before any is counted, then each is planned (``_plan``), and one
+    ``_count`` per stride scans the ranges left. No pairs count nothing.
     """
     if not pairs:
         return []
@@ -279,26 +264,18 @@ def _occupancy(
         n = len(data.index)
         return [(c, n) for c in _count(ds, pairs, [[(1, 0, n)]] * len(pairs), cal,
                                     lambda k, m: data.index[k:m], held)]
+    for i, j in pairs:
+        _check_span(ds[i], ds[j], cal, data)
+    groups: dict[int, list] = {}  # stride: (position in ``pairs``, product, ranges)
+    for p, (i, j) in enumerate(pairs):
+        stride, product, ranges = _plan(ds[i], ds[j], cal, data)
+        groups.setdefault(stride, []).append((p, product, ranges))
     out: list = [None] * len(pairs)
-    groups: dict[int, list] = {}  # stride: (position in ``pairs``, weighted grid ranges)
-    for p, (stride, nesting) in enumerate([_plan(ds[i], ds[j], cal, data) for i, j in pairs]):
-        i, j = pairs[p]
-        out[p], ranges = 0, []  # a product only for a nested pair
-        for w, part in _folds(cal, [ds[i], ds[j]], data):
-            edges = [(0, -(-part.length // stride))]
-            if nesting is not None:
-                cycle, block, flipped = nesting
-                a, b = (j, i) if flipped else (i, j)
-                counts, edges = _nested(ds[a], ds[b], cal, part, stride, cycle, block)
-                out[p] += w * (counts.T if flipped else counts)
-            at = (part.start - data.start) // stride  # parts start on the span's grid
-            ranges += [(w, at + k, at + m) for k, m in edges]
-        groups.setdefault(stride, []).append((p, ranges))
     for stride, group in groups.items():
-        counts = _count(ds, [pairs[p] for p, _ in group], [r for _, r in group], cal, _grid(data, stride))
-        for (p, _), c in zip(group, counts):
-            c += out[p]
-            out[p] = (c, -(-data.length // stride))
+        counts = _count(ds, [pairs[p] for p, _, _ in group], [r for _, _, r in group], cal,
+                        lambda k, m: data.start + stride * np.arange(k, m, dtype=np.int64))
+        for (p, product, _), c in zip(group, counts):
+            out[p] = (c + product, -(-data.length // stride))
     return out
 
 
@@ -313,24 +290,14 @@ def cross_tab(
     The one-pair case of the screen in ``harmony_table``. Over a table,
     a descriptor's values are its cyclic column when the table holds one
     made from that same descriptor, and are evaluated at the rows' index
-    otherwise; each is evaluated once per block.
+    otherwise; the counts are of rows, and ``total`` is the row count.
 
-    A span is sampled at the stride ``gcd`` of both anchors, from its
-    start. When one side is circular with a regular upper rung whose
-    length divides the other side's anchor block, the whole blocks count
-    as the product of that side's per-block level multiplicities and a
-    histogram of the other side, one sample per block; the grid points of
-    the partial blocks at the two ends are scanned, and a span without a
-    whole block is scanned throughout. Every other pair is scanned.
-
-    A span is split where a rung of either side breaks its sub-period,
-    and a stretch of q >= 2 periods of the pair (the lcm of the local
-    repeats of both rungs of both sides; none if a side is aperiodic)
-    counts its first period q times, plus the rest (``_folds``); the parts
-    are scanned in one pass, weighted. ``total`` is the whole span's.
-
-    A span samples at least one point: ``IndexSpan`` rejects empty spans
-    with ``empty-span`` when it is built.
+    Over a span, the counts are of distinct joint granules: the span's
+    points at the coarsest stride on which both sides are constant, from
+    its start (``_plan``), and ``total`` is the number of those points. A
+    span shorter than the common period of two circular sides with regular
+    upper rungs raises ``insufficient-span``; ``IndexSpan`` rejects an
+    empty span with ``empty-span`` when it is built.
     """
     mode = "structural" if isinstance(data, IndexSpan) else "observed"
     [(counts, n)] = _occupancy(data, [ci, cj], [(0, 1)], cal)
@@ -391,16 +358,11 @@ def harmony_table(
     both orderings of each surviving pair are emitted, sorted by name.
 
     All pairs are counted together, with ``cross_tab``'s counts. Over a
-    table that is one pass, evaluating each kept descriptor once per
-    block (or reading its cyclic column). Over a span, every pair is
-    checked against the span before any is counted, so the error names
-    the first pair in screen order whose common period the span misses;
-    each pair's span is split and folded by its sub-periods and joint
-    period (``_folds``), as in ``cross_tab``; nested pairs count as
-    products, and all pairs of one stride scan their weighted ranges in one
-    pass. A block has ``2 * SCAN_BLOCK // n`` points for n kept descriptors,
-    so it holds at most ``2 * SCAN_BLOCK`` values and memory does not grow
-    with the number of descriptors, the span or the table.
+    span, every pair is checked before any is counted, so
+    ``insufficient-span`` names the first pair in screen order whose
+    common period the span misses. A block has ``2 * SCAN_BLOCK // n``
+    points for n kept descriptors, so memory does not grow with the number
+    of descriptors, the span or the table.
     """
     kept = [d for d in descriptors if d.levels <= max_levels]
     pairs = list(combinations(range(len(kept)), 2))

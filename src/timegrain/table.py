@@ -156,11 +156,11 @@ def ingest(
     field is longer than ``csv.field_size_limit()``; a plain block is split
     at the delimiter and line ends, which reads it as ``csv`` does, and
     kept as it is split (see ``_keep``). From the start of the first block
-    that is not plain, ``csv.reader`` reads the rest of the file, numbering
-    rows on from the split ones. Text that does not decode while blocks are
-    read is read again by ``csv.reader`` from the start. Any other iterable
-    of lines, and a delimiter that is ``"``, a line end or not ASCII, are
-    read by ``csv.reader`` throughout.
+    that is not plain or does not decode, ``csv.reader`` reads the rest of
+    the file, numbering rows on from the split ones (so it meets bad text
+    after the rows before it). Any other iterable of lines, and a delimiter
+    that is ``"``, a line end or not ASCII, are read by ``csv.reader``
+    throughout.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -171,7 +171,7 @@ def ingest(
     else:
         handle, close = source, False
     d = schema.delimiter
-    start = None  # where a handle read in blocks starts, to read it again from
+    start = None  # where a handle read in blocks starts; None if csv reads it all
     if d.isascii() and d not in '"\r\n' and isinstance(handle, io.IOBase) and handle.seekable():
         try:
             start = handle.tell()
@@ -215,15 +215,8 @@ def ingest(
             step = parse_duration(schema.bottom_duration)
         positions, width = [header.index(c) for c in names], len(header)
         if start is not None:
+            _read_blocks(handle, d, positions, width, split, canon)
             reader = csv.reader(handle, delimiter=d)
-            try:
-                _read_blocks(handle, d, positions, width, split, canon)
-            except UnicodeDecodeError:
-                # read it all by csv, which decodes in smaller blocks, so that the
-                # same rows come before the bad block
-                handle.seek(start)
-                split = [[] for _ in names]
-                next(reader)
         short = _read_fields(reader, positions, width, rows, 2 + len(split[0]))
     except UnicodeDecodeError as exc:
         # decoded in blocks ahead of the rows, so no row number is known; the rows
@@ -263,13 +256,16 @@ def _read_blocks(handle, d: str, positions: list[int], width: int, *kept: list):
     """``_keep`` in ``kept`` the fields at ``positions`` of the rows of ``handle``'s plain blocks.
 
     A block is ``TEXT_BLOCK`` characters completed to whole lines. Reading
-    stops at the end, or at the first block that is not plain, with
-    ``handle`` put back at that block's start.
+    stops at the end, or at the first block that is not plain or does not
+    decode, with ``handle`` put back at that block's start.
     """
     limit, at = csv.field_size_limit(), handle.tell()
-    while block := handle.read(TEXT_BLOCK):
-        block += handle.readline()
-        fields = _plain_fields(block, d, width, limit)
+    while True:
+        try:
+            block = handle.read(TEXT_BLOCK) + handle.readline()
+        except UnicodeDecodeError:  # left to csv, which meets it after the rows before it
+            block = None
+        fields = _plain_fields(block, d, width, limit) if block else None
         if fields is None:
             handle.seek(at)
             return

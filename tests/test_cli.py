@@ -280,3 +280,22 @@ def test_fault_is_one_typed_error(session, tmp_path, capsys, edit, argv, code, e
         assert (tmp_path / "afile").read_bytes() == b""
     else:
         assert not out.exists()
+
+
+def test_overflowing_statistic_is_one_typed_error(session, tmp_path, capsys):
+    # every kwh at 1e308: each cell's sum overflows, so its mean is inf
+    config = edited(session, tmp_path)
+    data = tmp_path / SMART_CSV
+    header, *rows = data.read_text(encoding="utf-8").splitlines()
+    data.write_text("\n".join([header, *(r.rsplit(",", 1)[0] + ",1e308" for r in rows)]) + "\n",
+                    encoding="utf-8")
+    argv = [*PAIR, "--config", str(config), "--out"]
+    # summaries hold the overflow quietly: exit 0, nothing on stderr
+    assert cli.run(["summarize", *argv, str(tmp_path / "summary.csv")]) == 0
+    assert error_lines(capsys) == []
+    out = tmp_path / "spec.json"
+    assert cli.run(["plot-spec", *argv, str(out), "--geometry", "quantile-area"]) == 5
+    lines = error_lines(capsys)
+    assert len(lines) == 1
+    assert lines[0].startswith("error kind=non-finite-statistic exit=5: the mean of cell (x=0, facet=")
+    assert not out.exists()

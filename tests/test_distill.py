@@ -619,6 +619,29 @@ def test_non_finite_number_is_named_in_document_order(head, columns, want):
     assert str(err.value) == f"Out of range float values are not JSON compliant: {want}"
 
 
+@pytest.mark.parametrize("columns, want", [
+    # cell b's quantiles are entries 1 and 2 of the values
+    ({"values": [1.0, 1.5, math.inf]}, "quantile of cell (x=b"),
+    # the first cell is named, whatever its statistic
+    ({"maximum": [2.0, math.inf], "values": [math.nan, 1.5, 2.5]}, "quantile of cell (x=a"),
+    # within a cell, the mean comes before min, max and quantiles
+    ({"mean": [1.0, -math.inf], "minimum": [0.5, -math.inf]}, "mean of cell (x=b"),
+])
+def test_non_finite_statistic_names_its_first_cell(columns, want):
+    s = CellSummaries(
+        facet_labels=("f",), x_labels=("a", "b"), n=np.array([2, 3]),
+        mean=np.array([1.0, 2.0]), minimum=np.array([0.5, 1.0]), maximum=np.array([2.0, 3.0]),
+        probs=np.array([0.5, 0.25, 0.75]), values=np.array([1.0, 1.5, 2.5]),
+        offsets=np.array([0, 1, 3]),
+    )
+    x, facet = CyclicDescriptor("x", "circular", 2), CyclicDescriptor("f", "circular", 1)
+    with pytest.raises(ComputationError) as err:
+        emit_plot_spec(with_columns(s, **{k: np.array(v) for k, v in columns.items()}),
+                       x, facet, "v", "quantile-area")
+    assert err.value.kind == "non-finite-statistic"
+    assert err.value.message.startswith(f"the {want}, facet=f) is not finite")
+
+
 def test_signed_zeros_are_written_apart():
     # each column holds -0.0 and 0.0, which are equal as values but not as bit patterns
     s = CellSummaries(

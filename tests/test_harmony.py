@@ -101,6 +101,18 @@ class TestCrossTab:
             cross_tab(IndexSpan(length=100), ds["hour_day"], ds["day_week"], gregorian)
         assert err.value.kind == "insufficient-span"
 
+    def test_insufficient_span_spares_an_irregular_upper_rung(self, gregorian, ds):
+        # month_year is circular, but years vary in length: 800 days, far short of the
+        # pair's joint period, are counted; hour_day's regular day still refuses 100 half-hours
+        ci, cj = ds["month_year"], ds["day_week"]
+        span = IndexSpan(length=800 * 48)
+        assert span.length < harmony._joint_period(gregorian, [ci, cj])
+        occ = cross_tab(span, ci, cj, gregorian)
+        assert occ.counts.shape == (12, 7) and (occ.counts > 0).all()
+        with pytest.raises(ComputationError) as err:
+            cross_tab(IndexSpan(length=100), ds["hour_day"], cj, gregorian)
+        assert err.value.kind == "insufficient-span"
+
     @settings(max_examples=20, deadline=None)
     @given(
         pair=st.sampled_from(

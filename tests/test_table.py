@@ -546,8 +546,8 @@ class TestIngestInBlocks:
     @pytest.mark.parametrize("second", ["hand-over", "re-read"])
     def test_duplicate_found_across_read_paths(self, gregorian, tmp_path, second):
         # row 3 is split from a plain block; csv reads row 401, its duplicate, on from the
-        # block of the quoted row 301, or from the start once text past the first decoded
-        # chunk is not UTF-8
+        # block of the quoted row 301, or on from the block that fails to decode, where the
+        # text of row 951 is not UTF-8
         lines = ["over,ball,runs,note", *(f"{i},b{i % 3},1,n" for i in range(1000))]
         lines[400] = lines[2]
         if second == "hand-over":
@@ -572,8 +572,9 @@ class TestIngestInBlocks:
         with mock.patch.object(table, "TEXT_BLOCK", 64), mock.patch.object(
                 table, "_plain_fields", split_spy), mock.patch.object(table, "_read_fields", read_spy):
             got = outcome(path, block_schema(lines[0].split(",")), gregorian.hierarchy)
-        # csv reads on from the start of the block holding row 301, or from row 2
-        assert plain[0] and (3 < first[0] <= 301 if second == "hand-over" else first == [2])
+        # csv reads on from the start of the block holding row 301, or of the block that
+        # fails to decode: a chunk decoded ahead of the characters read may hold row 951
+        assert plain[0] and (3 < first[0] <= 301 if second == "hand-over" else 3 < first[0] <= 951)
         assert got == ("duplicate-row", "row 401: duplicate keys/index ('b1', 1)")
 
 
