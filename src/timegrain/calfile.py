@@ -66,11 +66,27 @@ class Calendar:
                 )
 
 
-def ini_parser() -> configparser.ConfigParser:
-    """The INI dialect shared by calendar and session files."""
-    return configparser.ConfigParser(
+def read_ini(text: str | Path, error, source: str = "<string>") -> configparser.ConfigParser:
+    """Parse ``text``, or the UTF-8 file at a ``Path``, as the INI of a calendar or session file.
+
+    A file that cannot be read as UTF-8 text, or text that is not INI,
+    raises ``error(message)``, the caller's error; the message names
+    ``source`` (a path's own text).
+    """
+    if isinstance(text, Path):
+        source = str(text)
+        try:
+            text = text.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise error(f"{source}: cannot read as UTF-8 text: {exc}") from None
+    cp = configparser.ConfigParser(
         delimiters=("=",), interpolation=None, comment_prefixes=("#", ";")
     )
+    try:
+        cp.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise error(f"{source}: {exc}") from None
+    return cp
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -84,11 +100,12 @@ def _parse_int(section: str, key: str, raw: str) -> int:
 
 def parse_calendar(text: str, source: str = "<string>") -> Calendar:
     """Parse and validate a calendar definition."""
-    cp = ini_parser()
-    try:
-        cp.read_string(text, source=source)
-    except configparser.Error as exc:
-        raise ValidationError("bad-calendar-file", f"{source}: {exc}") from None
+    return _calendar(text, source)
+
+
+def _calendar(text: str | Path, source: str) -> Calendar:
+    """The validated calendar of ``text``, or of the file at a ``Path``, named ``source``."""
+    cp = read_ini(text, lambda message: ValidationError("bad-calendar-file", message), source)
     if "calendar" not in cp:
         raise ValidationError("bad-calendar-file", f"{source}: missing [calendar] section")
     meta = cp["calendar"]
@@ -193,13 +210,7 @@ def load_calendar(path: str | Path) -> Calendar:
     """
     p = Path(path)
     if p.exists():
-        try:
-            text = p.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(
-                "bad-calendar-file", f"{p}: cannot read as UTF-8 text: {exc}"
-            ) from None
-        return parse_calendar(text, source=str(p))
+        return _calendar(p, str(p))
     # imported here: fixtures imports this module
     from .fixtures import BUNDLED
 

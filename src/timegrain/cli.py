@@ -37,7 +37,7 @@ from .distill import (
 from .errors import TimegrainError, ValidationError
 from .harmony import IndexSpan, classify_pair, cross_tab, harmony_table, write_harmony_table
 from .hierarchy import ConstantPeriod
-from .table import GranularTable, augment, csv_writer, export_table, ingest, text_out
+from .table import GranularTable, augment, export_table, ingest, text_out, write_csv
 
 WRITE_SLICE = 1 << 20  # characters of a large text output encoded at a time
 
@@ -109,11 +109,10 @@ def cmd_calendar_validate(args) -> int:
 
 def cmd_granularity_list(args) -> int:
     cfg, _, catalog = _load_session(args)
-    buffer = io.StringIO()
-    with csv_writer(buffer, args.delimiter) as writer:
-        writer.writerow(["name", "kind", "levels", "lower", "upper"])
-        for d in catalog.values():
-            writer.writerow([d.name, d.kind, d.levels, d.lower or "", d.upper or ""])
+    buffer, ds = io.StringIO(), list(catalog.values())
+    write_csv(buffer, ["name", "kind", "levels", "lower", "upper"],
+              [[d.name for d in ds], [d.kind for d in ds], [str(d.levels) for d in ds],
+               [d.lower or "" for d in ds], [d.upper or "" for d in ds]], args.delimiter)
     text = buffer.getvalue()
     if args.out:
         _output_path(args, cfg, "").write_text(text, encoding="utf-8")

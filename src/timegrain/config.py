@@ -3,11 +3,10 @@ ingestion schema, derived granularities, and screening thresholds."""
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .calfile import Calendar, ini_parser
+from .calfile import Calendar, read_ini
 from .cyclic import CyclicDescriptor, aperiodic_descriptor, derive_descriptor
 from .distill import DEFAULT_PROBS, _check_probs
 from .errors import ValidationError
@@ -87,15 +86,7 @@ def load_config(path: str | Path) -> SessionConfig:
     p = Path(path)
     if not p.exists():
         raise ValidationError("file-not-found", f"config file {p} does not exist")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError("bad-config", f"{p}: cannot read as UTF-8 text: {exc}") from None
-    cp = ini_parser()
-    try:
-        cp.read_string(text, source=str(p))
-    except configparser.Error as exc:
-        raise ValidationError("bad-config", f"{p}: {exc}") from None
+    cp = read_ini(p, lambda message: ValidationError("bad-config", message))
     if "session" not in cp:
         raise ValidationError("bad-config", f"{p}: missing [session] section")
     session = cp["session"]

@@ -9,12 +9,12 @@ geometry to pixels is explicitly someone else's job.
 Summaries are columns, not records: ``summarize_cells`` returns one
 ``CellSummaries`` (layout in its docstring). ``emit_plot_spec`` reads
 empty and small cells off the count column and checks each distinct
-quantile grid once. ``PlotSpec.to_json`` and ``write_summaries`` format
-whole columns: each label is JSON-encoded or CSV-quoted once per level,
-each distinct number (by bit pattern) is formatted once and its text
-placed by index, and each document is one ``join``. Iterating over a
-``CellSummaries`` yields ``CellSummary`` records, made on demand; no
-function here does.
+quantile grid once. ``PlotSpec.to_json`` formats whole columns: each
+label is JSON-encoded once per level, each distinct number (by bit
+pattern) is formatted once and its text placed by index, and the document
+is one ``join``. ``write_summaries`` hands ``table.write_csv`` its columns
+as labelled codes. Iterating over a ``CellSummaries`` yields
+``CellSummary`` records, made on demand; no function here does.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .calfile import Calendar
 from .cyclic import CyclicDescriptor, label_list
 from .errors import ComputationError, ValidationError
 from .harmony import PairClassification
-from .table import GranularTable, _csv_quoter, _formatted, _objects
-from .table import check_delimiter, text_out
+from .table import GranularTable, Labelled, _distinct, _objects, write_csv
 
 # quantile bands: 1-99, 10-90, and 25-75 around the median
 DEFAULT_PROBS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -217,9 +216,10 @@ class PlotSpec:
         if len(bad):
             first_bad = float(numbers[bad[np.argmin(place[bad])]])
             raise ValueError(f"Out of range float values are not JSON compliant: {first_bad!r}")
-        pieces[place, 0] = _formatted(numbers, repr)
+        distinct, inverse = _distinct(numbers)
+        pieces[place, 0] = _objects(map(repr, distinct))[inverse]
         # memory peaks in the ``join``: free what it does not read
-        del numbers, place, pair
+        del numbers, place, pair, distinct, inverse
         texts = pieces.ravel().tolist()
         del pieces
         texts[0] = before + "[" + texts[0]
@@ -272,7 +272,9 @@ def summarize_cells(
     ``b - diff * (1 - t)`` form for t >= 0.5). Each mean is one
     ``np.add.reduce`` over the segment (``np.add.reduceat`` sums in
     another order, so not bit for bit). Every statistic equals per-cell
-    ``np.sort`` / ``np.quantile`` / ``mean`` bit for bit. A -0.0 is read
+    ``np.sort`` / ``np.quantile`` / ``mean`` bit for bit, except a
+    quantile whose neighbours differ by more than the float64 range: it
+    is ``a * (1 - t) + b * t``, where NumPy's overflows. A -0.0 is read
     as 0.0, so no statistic depends on row order.
     """
     probs = _check_probs(probs)
@@ -318,12 +320,14 @@ def summarize_cells(
     a = vals[below]
     b = vals[below + (floor < m - 1)]
     segments = map(vals.__getitem__, map(slice, start.tolist(), end.tolist()))
-    # values near the float64 limits may sum or interpolate to inf or nan, silently:
-    # ``emit_plot_spec`` names such a cell
+    # values near the float64 limits may sum to inf or nan, silently: ``emit_plot_spec``
+    # names such a cell; where ``b - a`` overflows, ``a (1 - t) + b t`` interpolates
     with np.errstate(over="ignore", invalid="ignore"):
         diff = b - a
         sums = np.fromiter(map(np.add.reduce, segments), dtype=np.float64, count=len(n))
         values = np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
+    wide = np.flatnonzero(~np.isfinite(diff))
+    values[wide] = a[wide] * (1 - frac[wide]) + b[wide] * frac[wide]
     return CellSummaries(
         facet_labels=tuple(label_list(facet)),
         x_labels=tuple(label_list(x)),
@@ -502,40 +506,30 @@ def emit_plot_spec(
     return PlotSpec(head, summaries)
 
 
-_SUMMARY_HEADER = ("facet", "x", "prob", "value", "n")
-
-
 def write_summaries(summaries: CellSummaries, out, delimiter: str = ",") -> None:
-    """Long-format export: facet, x, prob, value, n (one empty row per empty cell).
+    """Long-format export with ``write_csv``: facet, x, prob, value, n.
 
-    The text is ``csv.writer``'s (``delimiter``, ``\\n`` line ends) for
-    one row per quantile of each occupied cell, the probability as
+    One row per quantile of each occupied cell, the probability as
     ``format(p, "g")`` and the value as ``format(v, ".12g")``, and one row
-    with blank probability and value and n 0 per empty cell. Each label is
-    quoted once per level and each distinct probability and value (by bit
-    pattern) formatted once. A formatted number holds only
-    ``_NUMBER_CHARS``, so csv quotes numbers only when the delimiter is one
-    of them.
+    with blank probability and value and n 0 per empty cell. Every column
+    is labelled codes: facet and x by level, n by cell, and probability
+    and value by distinct bit pattern across the whole summary (so each is
+    formatted once), with a last label ``""`` for an empty cell's row.
     """
-    check_delimiter(delimiter)  # before ``out`` is opened
-    s, d = summaries, delimiter
-    quote, number = _csv_quoter(d)
+    s = summaries
     # one row per quantile of an occupied cell, one row for an empty cell
     lines = np.ones(len(s), dtype=np.intp)
     lines[s.n > 0] = np.diff(s.offsets)
     row_cell = np.repeat(np.arange(len(s)), lines)
     filled = s.n[row_cell] > 0
-    # a row is "facet,x," + "prob," + "value" + ",n\n", the first and last made per cell
-    fs, xs = ([quote(label) + d for label in labels] for labels in (s.facet_labels, s.x_labels))
-    lead = _objects(f + x for f in fs for x in xs)
-    pieces = np.empty((len(row_cell), 4), dtype=object)
-    pieces[:, 0] = lead[row_cell]
-    pieces[:, 3] = _objects(d + number(str(c)) + "\n" for c in s.n.tolist())[row_cell]
-    pieces[filled, 1] = _formatted(s.probs, lambda p: number(format(p, "g")) + d)
-    pieces[filled, 2] = _formatted(s.values, lambda v: number(format(v, ".12g")))
-    pieces[~filled, 1:3] = ("", d)
-    texts = pieces.ravel().tolist()
-    del pieces
-    with text_out(out) as handle:
-        handle.write(d.join(map(quote, _SUMMARY_HEADER)) + "\n")
-        handle.write("".join(texts))
+
+    def numbers(col: np.ndarray, spec: str) -> Labelled:
+        values, inverse = _distinct(col)
+        codes = np.full(len(row_cell), len(values))
+        codes[filled] = inverse
+        return Labelled(codes, [format(v, spec) for v in values] + [""])
+
+    f, x = np.divmod(row_cell, len(s.x_labels))
+    columns = [Labelled(f, s.facet_labels), Labelled(x, s.x_labels), numbers(s.probs, "g"),
+               numbers(s.values, ".12g"), Labelled(row_cell, list(map(str, s.n.tolist())))]
+    write_csv(out, ("facet", "x", "prob", "value", "n"), columns, delimiter)

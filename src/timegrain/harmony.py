@@ -30,7 +30,7 @@ from .calfile import Calendar
 from .cyclic import APERIODIC, CIRCULAR, CyclicDescriptor, evaluate
 from .errors import ComputationError, ValidationError
 from .hierarchy import granule_start, linear_granule
-from .table import GranularTable, csv_writer
+from .table import GranularTable, write_csv
 
 DEFAULT_NEAR_THRESHOLD = 0.05
 DEFAULT_NEAR_FLOOR = 2
@@ -41,7 +41,7 @@ SCAN_BLOCK = 1 << 16  # points of one pair evaluated and counted at a time
 @dataclass(frozen=True)
 class IndexSpan:
     """Half-open synthetic index range [start, start + length); never empty, and
-    never past the int64 index."""
+    never outside the int64 index."""
 
     length: int
     start: int = 0
@@ -49,9 +49,9 @@ class IndexSpan:
     def __post_init__(self) -> None:
         if self.length <= 0:
             raise ComputationError("empty-span", "span must cover at least one bottom granule")
-        if self.start + self.length > 2**63:
+        if not -(2**63) <= self.start <= 2**63 - self.length:
             raise ValidationError("index-overflow", f"span [{self.start}, {self.start + self.length}) "
-                                  f"runs past the largest index {2**63 - 1}")
+                                  f"reaches past the int64 index [{-(2**63)}, {2**63})")
 
 
 @dataclass(frozen=True)
@@ -379,8 +379,8 @@ def harmony_table(
 
 
 def write_harmony_table(rows: Sequence[HarmonyRow], out, delimiter: str = ",") -> None:
-    """Export with the facet/x/levels column layout."""
-    with csv_writer(out, delimiter) as writer:
-        writer.writerow(["facet_variable", "x_variable", "facet_levels", "x_levels"])
-        for r in rows:
-            writer.writerow([r.facet, r.x, r.facet_levels, r.x_levels])
+    """Export with ``write_csv``: facet_variable, x_variable, facet_levels, x_levels, a row each."""
+    write_csv(out, ["facet_variable", "x_variable", "facet_levels", "x_levels"],
+              [[r.facet for r in rows], [r.x for r in rows],
+               np.array([r.facet_levels for r in rows], dtype=np.int64),
+               np.array([r.x_levels for r in rows], dtype=np.int64)], delimiter)

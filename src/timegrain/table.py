@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import chain, islice, repeat, takewhile
+from itertools import chain, islice, takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -38,8 +38,8 @@ _DURATION_UNITS = {
     "w": 604800,
 }
 
-# characters of text read and split at a time by ``ingest``; ``export_table``
-# formats a quarter as many fields at a time
+# characters of text read and split at a time by ``ingest``; ``write_csv``
+# makes an eighth as many fields at a time
 TEXT_BLOCK = 1 << 16
 
 
@@ -531,24 +531,9 @@ def text_out(out):
         yield handle
 
 
-@contextmanager
-def csv_writer(out, delimiter: str = ","):
-    """A ``csv.writer`` on ``text_out(out)``, ``\\n`` ending each row."""
-    check_delimiter(delimiter)  # before ``out`` is opened
-    with text_out(out) as handle:
-        yield csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-
-
-# every character of a number as ``format`` writes it: "-1.5e+20", "inf", "nan"
-_NUMBER_CHARS = frozenset("0123456789.+-einfa")
-
-
 def _csv_quoter(delimiter: str):
-    """``csv.writer``'s form of one field of a row of several, ``delimiter`` between them.
-
-    Returned with it is the form of a formatted number: csv quotes one only
-    when ``delimiter`` can occur in it, so else it is ``str``.
-    """
+    """A function giving fields of a row of several, ``delimiter`` between, as ``csv.writer`` writes
+    them: passed through it one by one only when a character that csv quotes occurs in them."""
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
 
@@ -560,7 +545,13 @@ def _csv_quoter(delimiter: str):
         writer.writerow((field,))
         return buf.getvalue()[:-1]
 
-    return quote, (quote if delimiter in _NUMBER_CHARS else str)
+    def quoted(fields: Sequence[str]) -> Sequence[str]:
+        joined = "".join(fields)
+        if any(c in joined for c in (delimiter, '"', "\r", "\n")):
+            return list(map(quote, fields))
+        return fields
+
+    return quoted
 
 
 def _objects(items: Iterable) -> np.ndarray:
@@ -568,60 +559,73 @@ def _objects(items: Iterable) -> np.ndarray:
     return np.array(list(items), dtype=object)
 
 
-def _formatted(col: np.ndarray, fn) -> np.ndarray:
-    """An object array of ``fn(v)`` for each float of ``col``, one call per distinct bit pattern."""
+def _distinct(col: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The distinct floats of ``col`` by bit pattern, and the place of each entry's among them."""
     bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    return _objects(map(fn, bits.view(np.float64).tolist()))[inverse]
+    return bits.view(np.float64).tolist(), inverse
+
+
+@dataclass(frozen=True)
+class Labelled:
+    """A ``write_csv`` column whose row ``i`` is ``labels[codes[i]]``; ``codes`` is an int array."""
+
+    codes: np.ndarray
+    labels: Sequence[str]
+
+
+def write_csv(out, header: Sequence[str], columns: Sequence, delimiter: str = ",") -> None:
+    """Write ``header`` and the rows of ``columns`` to ``text_out(out)`` as ``csv.writer`` does.
+
+    That is minimal quoting, ``delimiter`` between fields and ``\\n`` ending
+    each row. A column is a sequence of text, an int array, a float array
+    (``format(v, ".12g")``, blank for nan) or ``Labelled`` codes. The text
+    is made a block of rows at a time, a column at a time: each distinct
+    float of a block is formatted once, labels are looked up, and the fields
+    of a block or a label set are quoted one by one only when a character
+    that csv quotes occurs in them.
+    """
+    check_delimiter(delimiter)  # before ``out`` is opened
+    quoted = _csv_quoter(delimiter)
+    first = columns[0]
+    rows = len(first.codes if isinstance(first, Labelled) else first)
+    step = max(1, TEXT_BLOCK // 8 // len(columns))
+    ends = [delimiter] * (len(columns) - 1) + ["\n"]
+    row = [text for end in ends for text in (None, end)]  # each field, then the text after it
+    texts = [_column_text(col, quoted, step) for col in columns]
+    with text_out(out) as handle:
+        handle.write(delimiter.join(quoted(header)) + "\n")
+        for a in range(0, rows, step):
+            block = row * min(step, rows - a)
+            for j, text in enumerate(texts):
+                block[2 * j :: len(row)] = text(a, a + step)
+            handle.write("".join(block))
 
 
 def export_table(t: GranularTable, out, delimiter: str = ",") -> None:
-    """Write the table (including cyclic columns) as delimited text.
+    """``write_csv`` of the timestamp, key, index, measurement and cyclic columns."""
+    write_csv(out, [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic],
+              [t.timestamps, *t.keys.values(), t.index, *t.measurements.values(),
+               *(col for _, col in t.cyclic.values())], delimiter)
 
-    The text is ``csv.writer``'s (``delimiter``, ``\\n`` line ends) for a
-    header row and one row per table row: timestamp, keys, index,
-    measurements (``format(v, ".12g")``, blank for nan) and cyclic columns.
-    It is made a block of rows at a time, a column at a time: each distinct
-    measurement of a block is formatted once, small non-negative integers
-    are looked up, and a block of text is quoted field by field only when
-    it holds a character that csv quotes.
+
+def _column_text(col, quoted, step: int):
+    """A function of ``(start, stop)`` giving the csv fields of ``col``'s rows.
+
+    An int array of values below ``step`` (a block's rows) and its length
+    is labelled codes, with labels ``str(i)``.
     """
-    check_delimiter(delimiter)  # before ``out`` is opened
-    quote, number = _csv_quoter(delimiter)
-    header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
-    columns = [t.timestamps, *t.keys.values(), t.index, *t.measurements.values(),
-               *(col for _, col in t.cyclic.values())]
-    step = max(1, TEXT_BLOCK // 4 // len(columns))
-    ends = [delimiter] * (len(columns) - 1) + ["\n"]
-    texts = [_column_text(col, delimiter, end, quote, number, step) for col, end in zip(columns, ends)]
-    with text_out(out) as handle:
-        handle.write(delimiter.join(map(quote, header)) + "\n")
-        for a in range(0, len(t), step):
-            parts = chain.from_iterable(text(a, a + step) for text in texts)
-            handle.write("".join(chain.from_iterable(zip(*parts))))
-
-
-def _column_text(col, d: str, end: str, quote, number, step: int):
-    """A function of ``(start, stop)`` giving the csv text of ``col``'s rows as sequences to zip.
-
-    They are the fields each followed by ``end``, or the fields and a
-    repeat of ``end``. Integers below ``step`` (a block's rows) and the
-    column's length are looked up in names made once.
-    """
-    if not isinstance(col, np.ndarray):  # text, quoted by csv only for these characters
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
         def text(a, b):
-            cells = col[a:b]
-            joined = "".join(cells)
-            if any(c in joined for c in (d, '"', "\r", "\n")):
-                cells = map(quote, cells)
-            return cells, repeat(end)
+            values, inverse = _distinct(col[a:b])
+            cells = quoted(["" if v != v else format(v, ".12g") for v in values])
+            return _objects(cells)[inverse].tolist()
         return text
-
-    if col.dtype.kind == "f":
-        def cell(v):
-            return "" if v != v else number(format(v, ".12g"))
-        return lambda a, b: (_formatted(col[a:b], cell).tolist(), repeat(end))
-    if len(col) and 0 <= col.min() and col.max() < min(step, len(col)):
-        names = _objects(number(str(c)) + end for c in range(col.max() + 1))
-        return lambda a, b: (names[col[a:b]].tolist(),)
-    return lambda a, b: (map(number, map(str, col[a:b].tolist())), repeat(end))
+    if isinstance(col, np.ndarray):
+        if not (len(col) and 0 <= col.min() and col.max() < min(step, len(col))):
+            return lambda a, b: quoted(list(map(str, col[a:b].tolist())))
+        col = Labelled(col, [str(c) for c in range(col.max() + 1)])
+    if not isinstance(col, Labelled):
+        return lambda a, b: quoted(col[a:b])
+    codes, names = col.codes, _objects(quoted(col.labels))
+    return lambda a, b: names[codes[a:b]].tolist()

@@ -458,14 +458,22 @@ def ingest_oracle(lines: list[str], schema):
     return index, stamps, keys, measurements
 
 
+def write_csv_oracle(out, header, rows, delimiter: str = ",") -> None:
+    """Row-by-row reference for ``table.write_csv``, to an open text handle.
+
+    One ``csv.writer`` row, ``\\n`` ending it, for ``header`` and for each of ``rows``.
+    """
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def export_table_oracle(t, out, delimiter: str = ",") -> None:
     """Row-by-row reference for ``table.export_table``, to an open text handle.
 
     One ``csv.writer`` row for the header and per table row; a measurement
     is ``format(v, ".12g")``, blank for nan.
     """
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow([t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic])
     columns = [
         t.timestamps,
         *t.keys.values(),
@@ -474,7 +482,8 @@ def export_table_oracle(t, out, delimiter: str = ",") -> None:
           for col in t.measurements.values()),
         *(col.tolist() for _, col in t.cyclic.values()),
     ]
-    writer.writerows(zip(*columns))
+    header = [t.timestamp_column, *t.keys, "index", *t.measurements, *t.cyclic]
+    write_csv_oracle(out, header, zip(*columns), delimiter)
 
 
 def write_summaries_oracle(summaries, out, delimiter: str = ",") -> None:

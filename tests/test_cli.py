@@ -1,9 +1,12 @@
 import hashlib
+import io
 import shutil
 
 import pytest
 
-from timegrain import cli
+from oracles import write_csv_oracle
+from timegrain import cli, load_calendar
+from timegrain.config import build_catalog, load_config
 from timegrain.fixtures import write_smart_meter_csv
 
 SMART_CSV = "synthetic_smart_meter.csv"
@@ -149,6 +152,20 @@ def test_granularity_list_uses_delimiter(session, tmp_path):
     assert out.read_text(encoding="utf-8").startswith("name;kind;levels;lower;upper\n")
 
 
+@pytest.mark.parametrize("delimiter", [",", ";", "\t", "1", "e", ".", '"'])
+def test_granularity_list_equals_row_by_row_csv_writer(session, tmp_path, delimiter):
+    config, out = session / "smart_meter.ini", tmp_path / "list.csv"
+    argv = ["granularity", "list", "--config", str(config), "--delimiter", delimiter]
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    cfg = load_config(config)
+    catalog = build_catalog(cfg, load_calendar(cfg.calendar_path()))
+    want = io.StringIO()
+    write_csv_oracle(want, ["name", "kind", "levels", "lower", "upper"],
+                     [(d.name, d.kind, d.levels, d.lower or "", d.upper or "") for d in catalog.values()],
+                     delimiter)
+    assert out.read_bytes().decode("utf-8") == want.getvalue()
+
+
 def test_fixtures_generate_is_repeatable(tmp_path):
     for run in ("first", "second"):
         assert cli.run(["fixtures", "generate", "--out-dir", str(tmp_path / run)]) == 0
@@ -253,7 +270,8 @@ FAULTS = {
             3,
             "index-overflow exit=3: span ",
         )
-        for span, start in (("100000", "9223372036854775000"), ("100002", "9223372036854675807"))
+        for span, start in (("100000", "9223372036854775000"), ("100002", "9223372036854675807"),
+                            ("20000", "-9223372036854775809"))
     },
 }
 

@@ -119,6 +119,21 @@ class TestSummarize:
         assert len(occupied) == 1
         assert occupied[0].quantiles == ((0.5, 2.0),)
 
+    def test_quantile_across_the_float64_range(self, gregorian, cells_input):
+        # the first cell spans -1e308..1e308, whose difference overflows; the second does not
+        t, x, facet = cells_input
+        tiny = GranularTable(
+            index=np.array([0, 7 * 48, 2, 7 * 48 + 2, 14 * 48 + 2], dtype=np.int64),
+            timestamps=("a", "b", "c", "d", "e"),
+            timestamp_column="stamp",
+            measurements={"v": np.array([-1e308, 1e308, 0.1, 0.7, 0.3])},
+        )
+        tiny = augment(tiny, [x, facet], gregorian)
+        probs = (0.25, 0.5, 0.75)
+        wide, narrow = [c for c in summarize_cells(tiny, x, facet, "v", probs=probs) if c.n]
+        assert [v for _, v in wide.quantiles] == [-5e307, 0.0, 5e307]
+        assert [v for _, v in narrow.quantiles] == np.quantile([0.1, 0.7, 0.3], probs).tolist()
+
     def test_default_probs(self):
         assert DEFAULT_PROBS == (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 

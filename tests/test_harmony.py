@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import blocked_structural_scan, constant_block, pair_verdict_oracle
+from oracles import blocked_structural_scan, constant_block, pair_verdict_oracle, write_csv_oracle
+from test_distill import DELIMITERS, LABELS
 from test_hierarchy import proper_ladders
 from timegrain import (
     Calendar,
@@ -340,6 +341,10 @@ def rows_from_verdicts(descriptors, data, cal, max_levels, keep_near):
     return sorted(rows, key=lambda r: (r.facet, r.x))
 
 
+# levels of a harmony row: small ones make a column that is looked up, the rest are formatted
+LEVELS = st.integers(0, 30) | st.integers(0, 2**63 - 1)
+
+
 class TestHarmonyTable:
     def test_two_descriptors(self, gregorian, ds):
         rows = harmony_table([ds["hour_day"], ds["day_week"]], YEAR_2013, gregorian)
@@ -396,6 +401,16 @@ class TestHarmonyTable:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "facet_variable,x_variable,facet_levels,x_levels"
         assert "day_week,hour_day,7,24" in lines
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.builds(HarmonyRow, LABELS, LABELS, LEVELS, LEVELS), max_size=40),
+           delimiter=DELIMITERS)
+    def test_export_equals_row_by_row_csv_writer(self, rows, delimiter):
+        got, want = io.StringIO(), io.StringIO()
+        write_harmony_table(rows, got, delimiter)
+        write_csv_oracle(want, ["facet_variable", "x_variable", "facet_levels", "x_levels"],
+                         [(r.facet, r.x, r.facet_levels, r.x_levels) for r in rows], delimiter)
+        assert got.getvalue() == want.getvalue()
 
 
 def rows_from_counts(descriptors, counts_of, keep_near):
