@@ -1,10 +1,10 @@
 """Indexed observational tables augmented with cyclic granularity columns.
 
 A table holds an integer index column (bottom granules from the declared
-origin), optional key columns defining observational units, one or more
-numeric measurement columns, and any number of computed cyclic columns.
-Cyclic columns are caches: their values always equal re-evaluation of
-their descriptor at the row's index.
+origin), its stamps' text, optional key columns defining observational units
+(both kept compactly by ``ingest``), numeric measurement columns, and computed
+cyclic columns. Cyclic columns are caches: their values always equal
+re-evaluation of their descriptor at the row's index.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import csv
 import io
 import math
 import re
+from collections import defaultdict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import chain, islice, takewhile
+from itertools import chain, count, islice, takewhile
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -92,16 +93,18 @@ def check_delimiter(delimiter: str) -> None:
 class GranularTable:
     """Immutable column store; augment() returns a new table.
 
-    ``cyclic`` maps a column name to the descriptor it was made from and
-    its values. Screens (``cross_tab``, ``harmony_table``) read a column
-    in place of evaluating a descriptor when the stored descriptor equals
-    it, and evaluate one whose name is held by another descriptor.
+    ``timestamps`` and each of ``keys`` is a sequence of text; ``ingest`` gives
+    the stamps as one ``_Joined`` string, a key as ``Labelled`` int32 codes into
+    its values in first-seen order. ``cyclic`` maps a column name to the
+    descriptor it was made from and its values. Screens (``cross_tab``,
+    ``harmony_table``) read a column in place of evaluating a descriptor when
+    the stored descriptor equals it, and evaluate one whose name another holds.
     """
 
     index: np.ndarray
-    timestamps: tuple[str, ...]
+    timestamps: Sequence[str]
     timestamp_column: str
-    keys: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    keys: dict[str, Sequence[str]] = field(default_factory=dict)
     measurements: dict[str, np.ndarray] = field(default_factory=dict)
     cyclic: dict[str, tuple[CyclicDescriptor, np.ndarray]] = field(default_factory=dict)
 
@@ -129,14 +132,14 @@ def ingest(
     """Read a delimited text stream into a GranularTable.
 
     Timestamps become bottom-granule indexes relative to the schema's
-    origin; the original strings are retained as a presentation column,
-    and keys as one string per distinct value. One leading U+FEFF (a byte
-    order mark) is dropped from the header's first name, for paths and
-    handles alike. A path that cannot be opened (a directory, say), or a
-    file that is not UTF-8, is rejected as a whole; an ``origin`` that
-    ``timestamp_format`` cannot read is a ``ValidationError``. A row that
-    ``csv`` cannot read (a field over ``csv.field_size_limit()``) is a row
-    fault like the others below, ``unreadable-row``.
+    origin; the stamps are kept as one string, the keys as int32 codes (see
+    ``GranularTable``). One leading U+FEFF (a byte order mark) is dropped
+    from the header's first name, for paths and handles alike. A path that
+    cannot be opened (a directory, say), or a file that is not UTF-8, is
+    rejected as a whole; an ``origin`` that ``timestamp_format`` cannot read
+    is a ``ValidationError``. A row that ``csv`` cannot read (a field over
+    ``csv.field_size_limit()``) is a row fault like the others below,
+    ``unreadable-row``.
 
     The needed fields are read in one pass and checked a column at a time,
     in the order a row is checked: its timestamp (unparseable, before the
@@ -179,7 +182,7 @@ def ingest(
             pass
     names = (schema.timestamp_column, *schema.key_columns, *schema.measurement_columns)
     split: list[list] = [[] for _ in names]
-    canon: list[dict] = [{} for _ in schema.key_columns]
+    codes = [defaultdict(count().__next__) for _ in schema.key_columns]  # 0, 1, … as first seen
     rows: list[tuple[str, ...]] = []
     origin = step = short = fault = None
     try:
@@ -215,7 +218,7 @@ def ingest(
             step = parse_duration(schema.bottom_duration)
         positions, width = [header.index(c) for c in names], len(header)
         if start is not None:
-            _read_blocks(handle, d, positions, width, split, canon)
+            _read_blocks(handle, d, positions, width, split, codes)
             reader = csv.reader(handle, delimiter=d)
         short = _read_fields(reader, positions, width, rows, 2 + len(split[0]))
     except UnicodeDecodeError as exc:
@@ -226,14 +229,12 @@ def ingest(
         if close:
             handle.close()
 
-    _keep(split, canon, list(zip(*rows)))
+    _keep(split, codes, list(zip(*rows)))
     del rows
     if short:  # the short row's fields, up to the first it lacks, end their columns
         fields, fault = short
-        _keep(split, canon, [[f] for f in fields])
-    columns = list(map(tuple, split))
-    del split
-    stamps, zs, keys, values = _checked(columns, fault, schema, origin, step)
+        _keep(split, codes, [[f] for f in fields])
+    stamps, zs, keys, values = _checked(split, codes, fault, schema, origin, step)
     measurements = dict(zip(schema.measurement_columns, values))
     for m, values in measurements.items():
         # nan stays "missing"; an infinity has no quantile and no JSON form
@@ -265,26 +266,26 @@ def _read_blocks(handle, d: str, positions: list[int], width: int, *kept: list):
             block = handle.read(TEXT_BLOCK) + handle.readline()
         except UnicodeDecodeError:  # left to csv, which meets it after the rows before it
             block = None
-        fields = _plain_fields(block, d, width, limit) if block else None
+        fields = _plain_fields(block, d, positions, width, limit) if block else None
         if fields is None:
             handle.seek(at)
             return
-        _keep(*kept, [fields[p::width] for p in positions])
+        _keep(*kept, fields)
         at = handle.tell()
 
 
-def _keep(columns: list[list], canon: list[dict], cells: list) -> None:
+def _keep(columns: list[list], codes: list[defaultdict], cells: list) -> None:
     """Extend ``columns`` (stamps, keys, measurements) by ``cells``, a sequence of fields a column.
 
-    Keys are kept as ``canon``'s one string per value; a measurement as float64 arrays (nan
-    for a blank field) up to its first field ``float`` rejects, then that field's text, for
-    ``_checked`` to name the row; the column is not extended after it.
+    Keys are kept as int32 arrays of ``codes``' code for each value; a measurement as float64
+    arrays (nan for a blank field) up to its first field ``float`` rejects, then that field's
+    text, for ``_checked`` to name the row; the column is not extended after it.
     """
-    k = 1 + len(canon)
+    k = 1 + len(codes)
     for col, new in zip(columns[:1], cells):
         col.extend(new)
-    for col, new, same in zip(columns[1:k], cells[1:k], canon):
-        col.extend(map(same.setdefault, new, new))
+    for col, new, code in zip(columns[1:k], cells[1:k], codes):
+        col.append(np.fromiter(map(code.__getitem__, new), dtype=np.int32, count=len(new)))
     for col, new in zip(columns[k:], cells[k:]):
         if col and isinstance(col[-1], str):
             continue
@@ -294,13 +295,14 @@ def _keep(columns: list[list], canon: list[dict], cells: list) -> None:
             col.append(new[bad])
 
 
-def _plain_fields(block: str, d: str, width: int, limit: int) -> list[str] | None:
-    """The fields of ``block``'s lines, row after row, or None unless the block is plain.
+def _plain_fields(block: str, d: str, positions: list[int], width: int,
+                  limit: int) -> list[list[str]] | None:
+    """The fields at ``positions`` of ``block``'s lines, a list a position, or None unless plain.
 
     Plain: no ``"``, no ``\\r`` but in ``\\r\\n`` (a line end, to ``csv``), and
     ``width`` fields on every line (so no blank line), none longer than
-    ``limit``. ``csv`` then reads the lines as ``split`` does. Checked on
-    the UTF-8 bytes, where ``\\n`` and the ASCII ``d`` never occur inside a character.
+    ``limit``. ``csv`` then reads the lines as ``split`` does. Checked and cut
+    on the UTF-8 bytes, where ``\\n`` and the ASCII ``d`` never occur inside a character.
     """
     if "\r" in block:  # replace scans the whole block even when nothing matches
         block = block.replace("\r\n", "\n")
@@ -317,7 +319,12 @@ def _plain_fields(block: str, d: str, width: int, limit: int) -> list[str] | Non
     if (ends[:, :-1].any() or not ends[:, -1].all() or lengths.max() > limit
             or (width == 1 and not lengths.all())):
         return None
-    return block[:-1].replace("\n", d).split(d)
+    kept = sorted(set(positions))
+    if len(kept) < width:  # each kept field's bytes, with the separator after it
+        keep = np.repeat(np.tile(np.isin(np.arange(width), kept), len(ends)), lengths + 1)
+        block = raw[keep].tobytes().decode("utf-8", "surrogatepass")
+    fields = block[:-1].replace("\n", d).split(d)
+    return [fields[kept.index(p) :: len(kept)] for p in positions]
 
 
 def _read_fields(reader, positions: list[int], width: int, rows: list, first: int):
@@ -347,17 +354,17 @@ def _read_fields(reader, positions: list[int], width: int, rows: list, first: in
 _INDEX_MAX = 2**63 - 1  # np.iinfo(np.int64).max
 
 
-def _checked(columns: list[tuple], fault: DataError | None, schema: IngestionSchema,
-             origin: datetime | None, step: timedelta | None):
+def _checked(columns: list[list], codes: list[dict], fault: DataError | None,
+             schema: IngestionSchema, origin: datetime | None, step: timedelta | None):
     """The stamps, indexes, keys and measurements of ``columns``, or the first faulty row's error.
 
-    ``columns`` hold the rows' fields in schema order, the measurements as ``_keep`` holds
-    them; ``fault`` is the error of a short last row, whose missing fields leave their
-    columns one short, or of undecodable text after the rows. Each stage checks only the
-    rows before the first fault found so far.
+    ``columns`` hold the rows' fields in schema order, the keys and measurements as ``_keep``
+    holds them with ``codes``; ``fault`` is the error of a short last row, whose missing
+    fields leave their columns one short, or of undecodable text after the rows. Each stage
+    checks only the rows before the first fault found so far.
     """
     stamps = columns[0]  # a short row's fields are a prefix in schema order: the longest column
-    count = len(stamps)
+    count, joined = len(stamps), _Joined.of(stamps)
 
     def flag(row, kind: str, message: str) -> None:
         nonlocal count, fault
@@ -373,6 +380,7 @@ def _checked(columns: list[tuple], fault: DataError | None, schema: IngestionSch
                 flag(bad, "unparseable-timestamp", f"{stamps[bad]!r} is not an index")
             zs = np.array(values, dtype=object)
     else:
+        stamps = columns[0] = joined  # the rows' strings are freed before their digits are read
         zs = _iso_offsets(stamps, fmt, origin, step)
         if zs is None:
             moments, bad = _convert(lambda s: datetime.strptime(s, fmt), stamps)
@@ -389,11 +397,12 @@ def _checked(columns: list[tuple], fault: DataError | None, schema: IngestionSch
         else:
             flag(i, "pre-origin", f"{stamps[i]!r} predates origin {schema.origin!r}")
 
-    nkeys = len(schema.key_columns)
-    keys = columns[1 : 1 + nkeys]
+    nkeys = len(codes)
+    keys = [Labelled(np.concatenate([np.empty(0, np.int32), *col]), tuple(code))
+            for col, code in zip(columns[1 : 1 + nkeys], codes)]
     count = min([count, *map(len, keys)])  # a short row's key column is short, its error pending
-    zs, keys = np.asarray(zs[:count], dtype=np.int64), [col[:count] for col in keys]
-    dup = _first_duplicate(keys, zs)
+    zs = np.asarray(zs[:count], dtype=np.int64)
+    dup = _first_duplicate([zs, *(k.codes[:count] for k in keys)])
     if dup is not None:
         fingerprint = (*(k[dup] for k in keys), int(zs[dup]))
         flag(dup, "duplicate-row", f"duplicate keys/index {fingerprint}")
@@ -408,7 +417,7 @@ def _checked(columns: list[tuple], fault: DataError | None, schema: IngestionSch
         numbers.append(values)
     if fault:
         raise fault
-    return stamps, zs, keys, numbers
+    return joined, zs, keys, numbers
 
 
 def _convert(convert, cells: Sequence[str], blank=None) -> tuple[list, int | None]:
@@ -433,7 +442,7 @@ _ISO_PATTERN = re.compile(r"%Y-%m-%d(?:[ T]%H(?::%M(?::%S)?)?)?")
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # in a common year
 
 
-def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: timedelta):
+def _iso_offsets(stamps: _Joined, fmt: str, origin: datetime, step: timedelta):
     """Bottom-granule offsets of ``stamps`` from their ASCII digits, or None.
 
     None, for strptime to name the row, unless ``fmt`` has a fixed-width ISO 8601 form and
@@ -444,7 +453,7 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
         return None
     template = re.sub(r"%[mdHMS]", "##", fmt.replace("%Y", "####")) + "\n"
     # the "\n" after each stamp falls in the last column only if all have the template's width
-    text = "\n".join(chain(stamps, [""])).encode("ascii", "replace")
+    text = stamps.text.encode("ascii", "replace")
     if len(text) != len(stamps) * len(template):
         return None
     codes = np.frombuffer(text, dtype=np.uint8).reshape(len(stamps), len(template))
@@ -471,13 +480,8 @@ def _iso_offsets(stamps: tuple[str, ...], fmt: str, origin: datetime, step: time
     return seconds // (step // timedelta(seconds=1))
 
 
-def _first_duplicate(keys: list[tuple[str, ...]], zs: np.ndarray) -> int | None:
-    """The first row, in file order, whose keys and index an earlier row has, or None.
-
-    Equal keys are one object (``_keep`` keeps ``canon``'s string for each), so a key's
-    ``id`` is its code.
-    """
-    columns = [zs, *(np.fromiter(map(id, col), dtype=np.intp, count=len(col)) for col in keys)]
+def _first_duplicate(columns: list[np.ndarray]) -> int | None:
+    """The first row, in file order, whose values in all ``columns`` an earlier row has, or None."""
     order = np.lexsort(columns)  # stable, so equal rows stay in file order
     same = np.logical_and.reduce([np.diff(c[order]) == 0 for c in columns])
     later = order[1:][same]  # each row after the first of its group
@@ -535,7 +539,7 @@ def _csv_quoter(delimiter: str):
     """A function giving fields of a row of several, ``delimiter`` between, as ``csv.writer`` writes
     them: passed through it one by one only when a character that csv quotes occurs in them."""
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\r\n")  # so it quotes a lone "\r"
 
     def quote(field: str) -> str:
         if not field:  # csv quotes an empty field only when it is the whole row
@@ -543,7 +547,7 @@ def _csv_quoter(delimiter: str):
         buf.seek(0)
         buf.truncate()
         writer.writerow((field,))
-        return buf.getvalue()[:-1]
+        return buf.getvalue()[:-2]
 
     def quoted(fields: Sequence[str]) -> Sequence[str]:
         joined = "".join(fields)
@@ -566,12 +570,57 @@ def _distinct(col: np.ndarray) -> tuple[list[float], np.ndarray]:
     return bits.view(np.float64).tolist(), inverse
 
 
-@dataclass(frozen=True)
-class Labelled:
-    """A ``write_csv`` column whose row ``i`` is ``labels[codes[i]]``; ``codes`` is an int array."""
+class _Rows:
+    """A column of text rows: ``col[i]``, ``col[a:b]`` (a list), iteration and ``==`` a sequence."""
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (tuple, list, _Rows)) else NotImplemented
+
+
+@dataclass(frozen=True, eq=False)
+class Labelled(_Rows):
+    """Text rows, row ``i`` being ``labels[codes[i]]`` for an int array ``codes``: a key, a csv column."""
 
     codes: np.ndarray
     labels: Sequence[str]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        at = self.codes[i]
+        return list(map(self.labels.__getitem__, at.tolist())) if isinstance(i, slice) else self.labels[at]
+
+
+@dataclass(frozen=True, eq=False)
+class _Joined(_Rows):
+    """Text rows in one string, each followed by a ``\\n`` that a row may hold too: row ``i`` is
+    ``text[starts[i] : starts[i + 1] - 1]``. A slice of rows that hold none is one ``split``."""
+
+    text: str
+    starts: np.ndarray  # int64, one more than the rows
+
+    @classmethod
+    def of(cls, rows: Sequence[str]) -> _Joined:
+        starts = np.fromiter(map(len, chain([""], rows)), dtype=np.int64, count=len(rows) + 1)
+        starts[1:] += 1  # each row's "\n"
+        return cls("\n".join(chain(rows, [""])), np.cumsum(starts, out=starts))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]  # an int, or a range for a slice
+        if isinstance(rows, int):
+            return self.text[self.starts[rows] : self.starts[rows + 1] - 1]
+        if rows.step == 1 and rows:  # one split, unless a row of the slice holds a "\n"
+            block = self.text[self.starts[rows.start] : self.starts[rows.stop] - 1]
+            if block.count("\n") == len(rows) - 1:
+                return block.split("\n")
+        return [self[j] for j in rows]
 
 
 def write_csv(out, header: Sequence[str], columns: Sequence, delimiter: str = ",") -> None:
@@ -587,8 +636,7 @@ def write_csv(out, header: Sequence[str], columns: Sequence, delimiter: str = ",
     """
     check_delimiter(delimiter)  # before ``out`` is opened
     quoted = _csv_quoter(delimiter)
-    first = columns[0]
-    rows = len(first.codes if isinstance(first, Labelled) else first)
+    rows = len(columns[0])
     step = max(1, TEXT_BLOCK // 8 // len(columns))
     ends = [delimiter] * (len(columns) - 1) + ["\n"]
     row = [text for end in ends for text in (None, end)]  # each field, then the text after it
@@ -618,7 +666,7 @@ def _column_text(col, quoted, step: int):
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
         def text(a, b):
             values, inverse = _distinct(col[a:b])
-            cells = quoted(["" if v != v else format(v, ".12g") for v in values])
+            cells = quoted(["" if v != v else "%.12g" % v for v in values])  # format(v, ".12g")
             return _objects(cells)[inverse].tolist()
         return text
     if isinstance(col, np.ndarray):

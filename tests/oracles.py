@@ -8,9 +8,11 @@ test. ``traced_peak`` measures the memory the code under test takes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import tracemalloc
 from datetime import date, datetime, timedelta
+from itertools import chain
 
 import numpy as np
 
@@ -461,11 +463,17 @@ def ingest_oracle(lines: list[str], schema):
 def write_csv_oracle(out, header, rows, delimiter: str = ",") -> None:
     """Row-by-row reference for ``table.write_csv``, to an open text handle.
 
-    One ``csv.writer`` row, ``\\n`` ending it, for ``header`` and for each of ``rows``.
+    One ``csv.writer`` row, ``\\n`` ending it, for ``header`` and for each of ``rows``. The
+    writer ends a row with ``\\r\\n``, replaced by ``\\n``: a writer whose line end is ``\\n``
+    quotes a field holding a lone ``\\r`` on Python 3.13 on but not before.
     """
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\r\n")
+    for row in chain([header], rows):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        out.write(buf.getvalue()[:-2] + "\n")
 
 
 def export_table_oracle(t, out, delimiter: str = ",") -> None:
@@ -493,14 +501,14 @@ def write_summaries_oracle(summaries, out, delimiter: str = ",") -> None:
     iterating over ``summaries`` yields, and one row with blank
     probability and value per empty cell.
     """
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["facet", "x", "prob", "value", "n"])
+    rows = []
     for s in summaries:
         if s.n == 0:
-            writer.writerow([s.facet_label, s.x_label, "", "", 0])
+            rows.append([s.facet_label, s.x_label, "", "", 0])
             continue
         for p, v in s.quantiles:
-            writer.writerow([s.facet_label, s.x_label, format(p, "g"), format(v, ".12g"), s.n])
+            rows.append([s.facet_label, s.x_label, format(p, "g"), format(v, ".12g"), s.n])
+    write_csv_oracle(out, ["facet", "x", "prob", "value", "n"], rows, delimiter)
 
 
 def plot_spec_document(spec) -> dict:
